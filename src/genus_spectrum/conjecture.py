@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, OutOfFamilyError, UnsupportedError
+from .errors import InputError, OutOfFamilyError, UnsupportedError, VerificationError
 from .group import AbelianPGroup, is_prime
 from .halfint import HalfInt
 from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_min_large
@@ -73,7 +73,8 @@ def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     mu = reduced_min_large(G)
     pd = G.p**G.delta
     twice_start = 2 + pd * mu.twice
-    assert twice_start % 2 == 0
+    if twice_start % 2 != 0:
+        raise VerificationError(f"reduced minimum {mu} of {G} lifts to a non-integral genus")
     return twice_start // 2, pd // G.epsilon
 
 
@@ -233,7 +234,8 @@ class _Side:
         return AbelianPGroup(self.p, tuple(r))
 
     def mu_of(self, value: int) -> HalfInt:
-        assert value % self.scale == 0
+        if value % self.scale != 0:
+            raise VerificationError(f"weighted value {value} is not a multiple of {self.scale}")
         return HalfInt(self.base_m + value // self.scale - 1)
 
 
@@ -345,6 +347,7 @@ def search_counterexamples(
         pairs.extend(_search_class(side1, side2, offset, delta_max, label))
 
     for pair in pairs:
-        assert spectra_equal(pair.g1, pair.g2), pair
+        if not spectra_equal(pair.g1, pair.g2):
+            raise VerificationError(f"search pair {pair.g1} ~ {pair.g2} has unequal spectra")
     pairs.sort(key=lambda q: (q.delta, q.g1.r, q.g2.r))
     return pairs

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, InvalidInvariantsError, InvalidPrimeError
+from .errors import InputError, InvalidInvariantsError, InvalidPrimeError, VerificationError
 
 
 def is_prime(n: int) -> bool:
@@ -153,7 +153,8 @@ def invariants(G: AbelianPGroup) -> GroupInvariants:
     delta = G.delta
     eps = G.epsilon
     n = G.p**delta
-    assert n % eps == 0
+    if n % eps != 0:
+        raise VerificationError(f"epsilon = {eps} does not divide p^delta = {n} for {G}")
     return GroupInvariants(
         s=G.s,
         e_prime=e_prime(G),

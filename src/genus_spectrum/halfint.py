@@ -19,11 +19,14 @@ class HalfInt:
     twice: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice, int):
+        # exact type: bool is an int subclass, but True is no doubled value
+        if type(self.twice) is not int:
             raise InputError(f"HalfInt needs an int doubled value, got {self.twice!r}")
 
     @staticmethod
     def of(value: int) -> "HalfInt":
+        if type(value) is not int:
+            raise InputError(f"HalfInt.of needs an int, got {value!r}")
         return HalfInt(2 * value)
 
     @staticmethod

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError, UnsupportedError
+from .errors import OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup
 from .halfint import HalfInt
 from .mainline import hull, wp_eval
@@ -104,7 +104,11 @@ def min_gamma_A(G: AbelianPGroup, i: int) -> IndexMinimum:
         bumped[i - 1] += eps
     attaining = hull(tuple(bumped) + (tail,) * (e + 1 - i))
     min_value = gamma(p, e, attaining)
-    assert min_value == mu + correction, (G, i, attaining)
+    if min_value != mu + correction:
+        raise VerificationError(
+            f"block {i} of {G}: gamma{attaining} = {min_value}, "
+            f"closed form gives {mu + correction}"
+        )
     return IndexMinimum(index=i, epsilon=eps, mu=mu, min_value=min_value, attaining=attaining)
 
 
@@ -159,11 +163,12 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
     per_index = {i: min_gamma_A(G, i) for i in range(G.e + 1)}
     idx = index_set(G)
     value = min(per_index[i].mu for i in idx)
-    if idx.zero_droppable:
-        assert value == min(per_index[i].mu for i in idx if i != 0)
+    if idx.zero_droppable and value != min(per_index[i].mu for i in idx if i != 0):
+        raise VerificationError(f"dropping index 0 changes the reduced minimum of {G}")
 
     twice_genus = 2 + G.p**G.delta * value.twice
-    assert twice_genus % 2 == 0
+    if twice_genus % 2 != 0:
+        raise VerificationError(f"reduced minimum {value} of {G} lifts to a non-integral genus")
     data = tuple(attaining_datum(G, i) for i in idx if per_index[i].mu == value)
     return MinGenusReport(
         mu0=value,

@@ -7,11 +7,16 @@ have no spectral gap: the reduced spectrum is the full epsilon-lattice from
 
 on.  For everything else the spectrum is computed exactly by exhausting the
 admissible data up to a completeness bound B and locating the gaps.  The
-scan is self-certifying: adding 2 to every coordinate of an admissibility
-block element stays in the block and raises the reduced genus by exactly
-p^e, so once a full window of length p^e below B is present, everything
-above it is too.  The window is checked at runtime and a failure raises
-instead of reporting a wrong stable genus.
+enumeration visits admissible data only: the admissibility criterion's
+tail-sum bounds are its loops' lower limits, and the last coordinate is
+taken as a whole arithmetic progression.  The tests cross-check it against
+a per-datum application of the criterion.
+
+The scan is self-certifying: adding 2 to every coordinate of an
+admissibility block element stays in the block and raises the reduced
+genus by exactly p^e, so once a full window of length p^e below B is
+present, everything above it is too.  The window is checked at runtime and
+a failure raises instead of reporting a wrong stable genus.
 """
 
 from __future__ import annotations
@@ -24,9 +29,6 @@ from .group import AbelianPGroup, e_prime
 from .halfint import HalfInt
 from .mainline import envelope, hull, wp_eval
 from .mingenus import mu0
-from .signature import PDatum, is_admissible, reduced_genus
-
-INF = None  # verified_bound marker for closed-form (gap-free) spectra
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ class SpectrumDescriptor:
         for v in (self.min_reduced, self.stable_reduced, *self.gaps_reduced):
             if not self.in_lattice(v):
                 raise InputError(f"{v} is not in the epsilon={self.epsilon} lattice")
-        if any(not self.min_reduced < g < self.stable_reduced for g in self.gaps_reduced):
+        lo, hi = self.min_reduced.twice, self.stable_reduced.twice
+        if any(not lo < g.twice < hi for g in self.gaps_reduced):
             raise InputError("gaps must lie strictly between minimum and stable value")
 
     @property
@@ -63,7 +66,7 @@ class SpectrumDescriptor:
         return HalfInt(-2 // self.epsilon)
 
     def in_lattice(self, v: HalfInt) -> bool:
-        if v < self.lattice_min:
+        if v.twice < -2 // self.epsilon:
             return False
         return self.epsilon == 2 or v.twice % 2 == 0
 
@@ -116,46 +119,89 @@ def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
         min_reduced=value,
         stable_reduced=value,
         gaps_reduced=(),
-        verified_bound=INF,
+        verified_bound=None,
     )
 
 
+def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> set[int]:
+    """Doubled reduced genera <= twice_bound of all admissible data.
+
+    Only admissible data are enumerated: the criterion's tail-sum bounds
+    2h + x_i + ... + x_f >= s_i are the loops' lower limits.  For each h the
+    period-free datum counts when 2h >= s_1 - 1; otherwise the top period
+    index f is fixed (2h >= s_{f+1} - 1), x_f starts at max(2, s_f - 2h)
+    (even, stepping by 2, for p = 2 above e'), and each lower x_i starts at
+    max(0, s_i - 2h - x_{i+1} - ... - x_f).
+
+    The innermost coordinate is unbounded above, so its values form one
+    arithmetic progression; per (step, residue) only the least start is
+    kept, and each progression is added once at the end.  A loop over x_i
+    depends only on i, its step, the partial sum and the tail sum capped at
+    s_1.  Loops at level i never nest, so a loop that reaches a state an
+    earlier loop passed would repeat the rest of that loop, and it stops.
+    With O(e s_1 (twice_bound + 2p^e)) states, the work grows linearly with
+    the bound, not as a power of it.
+    """
+    p, e = G.p, G.e
+    pe = p**e
+    s = G.s
+    coeff = [pe - p ** (e - i) for i in range(1, e + 1)]  # coeff[i-1] = c_i
+    ep = e_prime(G)
+    found: set[int] = set()
+    lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
+    passed: set[int] = set()
+
+    def scan(i: int, v: int, cover: int, x: int, step: int) -> None:
+        # x_i runs over x, x + step, ...; v is twice the reduced genus of h and
+        # x_{i+1}..x_f, and cover = 2h + x_{i+1} + ... + x_f
+        c = coeff[i - 1]
+        v += c * x
+        if i == 1:
+            key = (c * step, v % (c * step))
+            if v < lowest.get(key, twice_bound + 1):
+                lowest[key] = v
+            return
+        while v <= twice_bound:
+            # (i, step, v, tail sum capped at s_1) packed into one int
+            state = ((v * (s[0] + 1) + min(cover + x, s[0])) * (e + 1) + i) * 2 + step - 1
+            if state in passed:
+                break
+            passed.add(state)
+            scan(i - 1, v, cover + x, max(0, s[i - 2] - cover - x), 1)
+            x += step
+            v += c * step
+
+    h = 0
+    while 2 * (h - 1) * pe <= twice_bound:
+        base = 2 * (h - 1) * pe
+        two_h = 2 * h
+        if two_h >= s[0] - 1:
+            found.add(base)
+        for f in range(1, e + 1):
+            if two_h < s[f] - 1:
+                continue
+            # above e' the criterion asks for an even x_f; there s_f <= 2, so x
+            # starts at 2 and steps by 2
+            step = 2 if p == 2 and ep < f else 1
+            scan(f, base, two_h, max(2, s[f - 1] - two_h), step)
+        h += 1
+    for (c, _), v in lowest.items():
+        found.update(range(v, twice_bound + 1, c))
+    return found
+
+
 def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[HalfInt, ...]:
-    """All reduced genera <= bound, by exhaustive enumeration of data.
+    """All reduced genera <= bound, by exhaustive enumeration of admissible data.
 
     Every coordinate of the reduced genus map has a positive coefficient
     (p^e for h, (p^e - p^{e-i})/2 for x_i), so coordinates are bounded by
-    the target and the lexicographic recursion over (h, x_e, ..., x_1) can
-    prune on the running partial sum.  Admissibility is checked per datum
-    with the arithmetic criterion - independently of the block machinery.
+    the target.  The criterion is never tested per datum: its tail-sum
+    bounds are the loops' lower limits (see `_admissible_twice`).
     """
     bound = HalfInt.coerce(bound)
     if bound < HalfInt(-2):
         raise OutOfRangeError(f"bound must be >= -1, got {bound}")
-    p, e = G.p, G.e
-    pe = p**e
-    twice_bound = bound.twice
-    found: set[int] = set()
-    x = [0] * e
-
-    def assign(i: int, partial: int) -> None:
-        # positions e, e-1, ..., 1; `partial` is twice the reduced genus so far
-        if i == 0:
-            if is_admissible(G, PDatum(tuple(x), h)):
-                found.add(partial)
-            return
-        coeff = pe - p ** (e - i)
-        x[i - 1] = 0
-        while partial + coeff * x[i - 1] <= twice_bound:
-            assign(i - 1, partial + coeff * x[i - 1])
-            x[i - 1] += 1
-        x[i - 1] = 0
-
-    h = 0
-    while 2 * (h - 1) * pe <= twice_bound:
-        assign(e, 2 * (h - 1) * pe)
-        h += 1
-    return tuple(HalfInt(t) for t in sorted(found))
+    return tuple(HalfInt(t) for t in sorted(_admissible_twice(G, bound.twice)))
 
 
 def scan_bound(G: AbelianPGroup) -> HalfInt:
@@ -185,38 +231,33 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
         return closed_form_spectrum(G)
 
     bound = scan_bound(G)
-    present = set(oracle_reduced_spectrum(G, bound))
+    present = _admissible_twice(G, bound.twice)
     if not present:
         raise VerificationError(f"no admissible data below {bound} for {G}")
 
     eps = G.epsilon
     step_twice = 2 // eps
-    absent: list[HalfInt] = []
-    t = -2 // eps
-    while t <= bound.twice:
-        v = HalfInt(t)
-        if v not in present:
-            absent.append(v)
-        t += step_twice
+    absent = [t for t in range(-2 // eps, bound.twice + 1, step_twice) if t not in present]
 
     window_low = bound - G.p**G.e
-    bad = [v for v in absent if v >= window_low]
+    bad = [HalfInt(t) for t in absent if t >= window_low.twice]
     if bad:
         raise VerificationError(
             f"scan window [{window_low}, {bound}] for {G} is incomplete at {bad[:5]}; "
             "the completeness bound is too small"
         )
 
-    min_reduced = min(present)
-    stable = absent[-1] + HalfInt(step_twice) if absent else min_reduced
-    if not absent:
-        assert min_reduced == HalfInt(-2 // eps)
-    gaps = tuple(v for v in absent if v > min_reduced)
+    min_twice = min(present)
+    if not absent and min_twice != -2 // eps:
+        raise VerificationError(
+            f"gap-free scan of {G} starts at {HalfInt(min_twice)}, not at the lattice minimum"
+        )
+    stable_twice = absent[-1] + step_twice if absent else min_twice
     return SpectrumDescriptor(
         epsilon=eps,
-        min_reduced=min_reduced,
-        stable_reduced=max(stable, min_reduced),
-        gaps_reduced=gaps,
+        min_reduced=HalfInt(min_twice),
+        stable_reduced=HalfInt(max(stable_twice, min_twice)),
+        gaps_reduced=tuple(HalfInt(t) for t in absent if t > min_twice),
         verified_bound=bound,
     )
 
@@ -240,7 +281,8 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
         raise OutOfRangeError(f"exponent index must be >= 1, got {e}")
     a = [max(p - 1, 2) + 2 * (p - 1) * (e - j) for j in range(1, e + 1)]
     base = wp_eval(p, a)
-    assert base == spectrum_bound_formula(p, e)
+    if base != spectrum_bound_formula(p, e):
+        raise VerificationError(f"base sequence for p = {p}, e = {e} evaluates to {base}")
     if m < base:
         raise OutOfRangeError(f"m = {m} below the least admissible value {base}")
 
@@ -253,7 +295,8 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
     s = [ai + bi for ai, bi in zip(a, b)]
     r = [s[i] - s[i + 1] for i in range(e - 1)] + [s[e - 1] - 1]
     G = AbelianPGroup(p, tuple(r))
-    assert has_large_invariants(G)
+    if not has_large_invariants(G):
+        raise VerificationError(f"constructed {G} for m = {m} lacks large invariants")
     return G
 
 
@@ -268,7 +311,7 @@ def classify_small(G: AbelianPGroup) -> SmallClass:
 
     Genus 0: cyclic groups and the Klein four-group.  Genus 1: the remaining
     rank-2 groups and Z_2^3.  The sign of the computed reduced minimum is
-    asserted against the classification.
+    checked against the classification.
     """
     if G.is_cyclic or (G.p == 2 and G.r == (2,)):
         out = SmallClass.GENUS_ZERO
@@ -283,7 +326,8 @@ def classify_small(G: AbelianPGroup) -> SmallClass:
         if value < 0
         else SmallClass.GENUS_ONE if value == 0 else SmallClass.POSITIVE
     )
-    assert out is expected, (G, value)
+    if out is not expected:
+        raise VerificationError(f"{G} classifies as {out.value} but has reduced minimum {value}")
     return out
 
 
@@ -338,17 +382,19 @@ class GenusView:
 
 def _genus_of(G: AbelianPGroup, v: HalfInt) -> int:
     twice = 2 + G.p**G.delta * v.twice
-    assert twice % 2 == 0
+    if twice % 2 != 0:
+        raise VerificationError(f"reduced genus {v} of {G} lifts to a non-integral genus")
     return twice // 2
 
 
 def genus_view(G: AbelianPGroup, desc: SpectrumDescriptor) -> GenusView:
     pd = G.p**G.delta
-    assert pd % desc.epsilon == 0
+    if pd % desc.epsilon != 0:
+        raise VerificationError(f"epsilon = {desc.epsilon} does not divide p^delta = {pd} for {G}")
     ambient = pd == desc.epsilon
     min_genus = _genus_of(G, desc.min_reduced)
-    if ambient:
-        assert min_genus == 0
+    if ambient and min_genus != 0:
+        raise VerificationError(f"{G} has ambient lattice N_0 but minimum genus {min_genus}")
     return GenusView(
         min_genus=min_genus,
         step=pd // desc.epsilon,

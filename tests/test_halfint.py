@@ -25,6 +25,17 @@ def test_parse_round_trip():
         HalfInt(5).to_int()
 
 
+def test_rejects_non_int_doubled_values():
+    # bool is a subclass of int, but True is not a doubled value
+    for bad in (True, False, 1.0, "2"):
+        with pytest.raises(InputError):
+            HalfInt(bad)
+        with pytest.raises(InputError):
+            HalfInt.of(bad)
+        with pytest.raises(InputError):
+            HalfInt.coerce(bad)
+
+
 def test_arithmetic_and_order():
     assert HalfInt(1) + HalfInt(1) == 1
     assert HalfInt.of(2) - 3 == -1

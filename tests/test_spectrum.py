@@ -67,10 +67,32 @@ def test_oracle_examples():
 
 
 def test_oracle_against_dumb_enumerations():
-    for G in all_groups((2, 3), 2, 2):
-        bound = HalfInt.of(10)
-        assert oracle_reduced_spectrum(G, bound) == admissible_values(G, bound)
-        assert oracle_reduced_spectrum(G, bound) == block_route_values(G, bound)
+    bound = HalfInt.of(10)
+    for G in all_groups((2, 3, 5), 3, 2):
+        got = oracle_reduced_spectrum(G, bound)
+        assert got == admissible_values(G, bound), G
+        assert got == block_route_values(G, bound), G
+
+
+def test_oracle_huge_exponent_small_bound():
+    # p^e = 1000003^2: the scan must not touch the range [-2 p^e, 2 bound]
+    assert oracle_reduced_spectrum(parse_group("1000003:0,1"), 5) == (HalfInt.of(-1), hi(0))
+
+
+def test_oracle_far_beyond_the_scan_bound():
+    # the enumeration's work grows linearly with the bound
+    G = parse_group("3:0,1")
+    want = tuple(HalfInt.of(v) for v in range(-1, 20001) if v not in (1, 4))
+    assert oracle_reduced_spectrum(G, 20000) == want
+    G = parse_group("2:0,0,0,0,0,0,0,1")
+    assert oracle_reduced_spectrum(G, 3000) == full_spectrum(G).reduced_values_up_to(3000)
+
+
+def test_full_spectrum_anchors():
+    # stable value and gap count of two deep scans, as the engine has always given them
+    for enc, stable, ngaps in (("2:0,0,0,0,0,0,0,1", 517, 289), ("3:0,0,0,0,0,1", 3281, 1560)):
+        d = full_spectrum(parse_group(enc))
+        assert (d.stable_reduced, len(d.gaps_reduced)) == (stable, ngaps), enc
 
 
 EXPECTED_SPECTRA = {
