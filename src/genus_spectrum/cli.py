@@ -27,7 +27,7 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 def _factored_genus(G: group.AbelianPGroup, value: HalfInt) -> str:
     if G.delta == 0 or value == 0:
-        return str(1 + (G.p**G.delta * value.twice) // 2)
+        return str(signature.genus_of(G, value))
     return f"1+{G.p}^{G.delta}*{value}"
 
 
@@ -103,13 +103,13 @@ def _cmd_mu0(args) -> int:
 def _cmd_mu0plus(args) -> int:
     G = group.parse_group(args.group)
     value = spectrum.mu0_plus(G)
-    twice = 2 + G.p**G.delta * value.twice
+    genus = signature.genus_of(G, value)
     payload = {
         "group": G.encode(),
         "mu0_plus": str(value),
-        "mu_plus": str(twice // 2),
+        "mu_plus": str(genus),
     }
-    text = [f"group = {G.encode()}", f"mu0+ = {value}", f"mu+ = {twice // 2}"]
+    text = [f"group = {G.encode()}", f"mu0+ = {value}", f"mu+ = {genus}"]
     return _emit(args, payload, text)
 
 
@@ -308,7 +308,16 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout again at exit, so
+        # point it at devnull to keep that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

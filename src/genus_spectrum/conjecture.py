@@ -28,9 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, OutOfFamilyError, UnsupportedError, VerificationError
+from .errors import (
+    InputError,
+    InvalidInvariantsError,
+    OutOfFamilyError,
+    UnsupportedError,
+    VerificationError,
+)
 from .group import AbelianPGroup, is_prime
 from .halfint import HalfInt
+from .signature import genus_of, period_weights
 from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_min_large
 
 RELATION_SAME = "equal_spectrum_same_lattice"
@@ -56,26 +63,25 @@ def e3_family(G: AbelianPGroup, k: int) -> AbelianPGroup:
     if not has_large_invariants(G):
         raise OutOfFamilyError(f"{G} does not satisfy the large-invariant hypothesis")
     vec = rho(G.p)
-    shifted = tuple(G.r[i] + k * vec[i] for i in range(3))
-    if any(x < G.p - 1 for x in shifted[:2]) or shifted[2] < max(G.p - 2, 1):
-        raise OutOfFamilyError(f"shift by k={k} leaves the large-invariant family: {shifted}")
-    if G.p == 2 and (G.r[2] >= 2) != (shifted[2] >= 2):
+    r = tuple(G.r[i] + k * vec[i] for i in range(3))
+    try:
+        shifted = AbelianPGroup(G.p, r)
+    except InvalidInvariantsError:
+        shifted = None
+    if shifted is None or not has_large_invariants(shifted):
+        raise OutOfFamilyError(f"shift by k={k} leaves the large-invariant family: {r}")
+    if G.p == 2 and (G.r[2] >= 2) != (r[2] >= 2):
         raise OutOfFamilyError(
-            f"shift by k={k} changes the top-summand parity class: {G.r} -> {shifted}"
+            f"shift by k={k} changes the top-summand parity class: {G.r} -> {r}"
         )
-    return AbelianPGroup(G.p, shifted)
+    return shifted
 
 
 def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     """(start, step) with sp(G) = start + step * N_0, for large invariants."""
     if not has_large_invariants(G):
         raise UnsupportedError(f"{G} does not satisfy the large-invariant hypothesis")
-    mu = reduced_min_large(G)
-    pd = G.p**G.delta
-    twice_start = 2 + pd * mu.twice
-    if twice_start % 2 != 0:
-        raise VerificationError(f"reduced minimum {mu} of {G} lifts to a non-integral genus")
-    return twice_start // 2, pd // G.epsilon
+    return genus_of(G, reduced_min_large(G)), G.p_delta // G.epsilon
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
@@ -143,21 +149,19 @@ class _Side:
     the values so that doubled-mu relations become plain translations.
     """
 
-    def __init__(self, p: int, e: int, top_floor: int, pin_top: bool, scale: int, dmax: int):
+    def __init__(self, p: int, e: int, top_floor: int, pin_top: bool, scale: int, delta_max: int):
         self.p = p
         self.e = e
         self.scale = scale
         self.floors = tuple([p - 1] * (e - 1) + [top_floor])
         self.pin_top = pin_top
-        pe = p**e
+        weights = period_weights(p, e)
         self.coin_index = [i for i in range(1, e + 1) if not (pin_top and i == e)]
-        self.coins = [(i, scale * (pe - p ** (e - i))) for i in self.coin_index]
-        self.base_m = -pe + sum(
-            (pe - p ** (e - i)) * self.floors[i - 1] for i in range(1, e + 1)
-        )
+        self.coins = [(i, scale * weights[i - 1]) for i in self.coin_index]
+        self.base_m = -(p**e) + sum(c * f for c, f in zip(weights, self.floors))
         self.eff_base = scale * self.base_m - (scale - 1)
-        self.delta0 = sum(i * self.floors[i - 1] for i in range(1, e + 1)) - e
-        self.dmax = max(dmax, 0)
+        self.delta0 = sum(i * f for i, f in enumerate(self.floors, start=1)) - e
+        self.dmax = max(delta_max - self.delta0, 0)
 
         # exact value envelopes per remaining-coin suffix; index 0 = all coins
         n = len(self.coins)
@@ -205,26 +209,26 @@ class _Side:
 
     def witnesses(self, d: int, value: int) -> list[tuple[int, ...]]:
         """All free vectors t with weight d and scaled value `value`."""
+        coins, smin, smax = self.coins, self.smin, self.smax
+        n = len(coins)
         out: list[tuple[int, ...]] = []
-        coins = self.coins
-        acc = [0] * len(coins)
-
-        def rec(j: int, rd: int, rv: int) -> None:
-            if j == len(coins):
+        # depth-first over (coin index, remaining weight, remaining value,
+        # prefix of t); children are pushed in reverse so t comes out ascending
+        todo = [(0, d, value, ())]
+        while todo:
+            j, rd, rv, t = todo.pop()
+            if j == n:
                 if rd == 0 and rv == 0:
-                    out.append(tuple(acc))
-                return
+                    out.append(t)
+                continue
             w, v = coins[j]
-            for k in range(rd // w + 1):
+            lo_row, hi_row = smin[j + 1], smax[j + 1]
+            for k in range(rd // w, -1, -1):
                 nd, nv = rd - k * w, rv - k * v
-                lo, hi = self.smin[j + 1][nd], self.smax[j + 1][nd]
-                if lo is None or not lo <= nv <= hi:
+                lo = lo_row[nd]
+                if lo is None or not lo <= nv <= hi_row[nd]:
                     continue
-                acc[j] = k
-                rec(j + 1, nd, nv)
-            acc[j] = 0
-
-        rec(0, d, value)
+                todo.append((j + 1, nd, nv, t + (k,)))
         return out
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
@@ -248,7 +252,9 @@ def _search_class(
         and side1.pin_top == side2.pin_top
         and side1.scale == side2.scale
     )
+    # bit positions are shifted so that both sides' value offsets line up
     diff = side1.eff_base - side2.eff_base
+    shift1, shift2 = max(diff, 0), max(-diff, 0)
     pairs: list[CounterexamplePair] = []
 
     delta_lo = max(side1.delta0, side2.delta0 - delta_offset)
@@ -263,20 +269,12 @@ def _search_class(
         if max(iv1[0], iv2[0]) > min(iv1[1], iv2[1]):
             continue
 
-        # bit positions are side2-aligned when diff >= 0, side1-aligned otherwise
-        matched = (
-            (side1.reach(d1) << diff) & side2.reach(d2)
-            if diff >= 0
-            else (side2.reach(d2) << -diff) & side1.reach(d1)
-        )
+        matched = (side1.reach(d1) << shift1) & (side2.reach(d2) << shift2)
         while matched:
             low = matched & -matched
             matched ^= low
             pos = low.bit_length() - 1
-            if diff >= 0:
-                x2, x1 = pos, pos - diff
-            else:
-                x1, x2 = pos, pos + diff
+            x1, x2 = pos - shift1, pos - shift2
             t1s = side1.witnesses(d1, x1)
             mu1 = side1.mu_of(x1)
             mu2 = side2.mu_of(x2)
@@ -328,8 +326,7 @@ def search_counterexamples(
     classes: list[tuple[_Side, _Side, int, str]] = []
 
     def side(ee: int, top_floor: int, pin: bool, scale: int, offset: int) -> _Side:
-        dmax = delta_max + offset - (sum(i * (p - 1) for i in range(1, ee)) + ee * top_floor - ee)
-        return _Side(p, ee, top_floor, pin, scale, dmax)
+        return _Side(p, ee, top_floor, pin, scale, delta_max + offset)
 
     if p != 2:
         if relation in (None, RELATION_SAME):

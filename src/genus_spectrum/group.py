@@ -13,18 +13,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError, InvalidInvariantsError, InvalidPrimeError, VerificationError
+from .errors import (
+    InputError,
+    InvalidInvariantsError,
+    InvalidPrimeError,
+    OutOfRangeError,
+    VerificationError,
+)
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above has no strong pseudoprime below this
+# bound (Sorenson and Webster, 2015), so the test is exact there.
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; the primes used here are small."""
-    if n < 2:
+    """Deterministic Miller-Rabin, exact below 3.317 * 10^24.
+
+    Larger n raise OutOfRangeError rather than risk a wrong answer.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if n >= _MR_LIMIT:
+        raise OutOfRangeError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    if any(n % q == 0 for q in _MR_BASES):
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        k += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -83,6 +110,11 @@ class AbelianPGroup:
     @property
     def delta(self) -> int:
         return self.log_order - self.e
+
+    @property
+    def p_delta(self) -> int:
+        """p^delta = |G| / exp(G); uncached, since caching gives each group a __dict__."""
+        return self.p**self.delta
 
     @property
     def epsilon(self) -> int:
@@ -150,15 +182,14 @@ class GroupInvariants:
 
 
 def invariants(G: AbelianPGroup) -> GroupInvariants:
-    delta = G.delta
     eps = G.epsilon
-    n = G.p**delta
+    n = G.p_delta
     if n % eps != 0:
         raise VerificationError(f"epsilon = {eps} does not divide p^delta = {n} for {G}")
     return GroupInvariants(
         s=G.s,
         e_prime=e_prime(G),
-        delta=delta,
+        delta=G.delta,
         epsilon=eps,
         kulkarni_n=n // eps,
         log_order=G.log_order,

@@ -25,7 +25,7 @@ from .errors import OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup
 from .halfint import HalfInt
 from .mainline import hull, wp_eval
-from .signature import GammaSeq, PDatum, alpha_inv, gamma
+from .signature import GammaSeq, PDatum, alpha_inv, gamma, genus_of, period_weights
 
 
 def epsilon_i(G: AbelianPGroup, i: int) -> int:
@@ -147,10 +147,13 @@ def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
 class MinGenusReport:
     mu0: HalfInt
     minimum_genus: int
-    index_set: tuple[int, ...]
-    zero_droppable: bool
+    index_set: IndexSet
     per_index: dict[int, IndexMinimum]
     attaining_data: tuple[PDatum, ...]
+
+    @property
+    def zero_droppable(self) -> bool:
+        return self.index_set.zero_droppable
 
 
 def mu0(G: AbelianPGroup) -> MinGenusReport:
@@ -165,16 +168,11 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
     value = min(per_index[i].mu for i in idx)
     if idx.zero_droppable and value != min(per_index[i].mu for i in idx if i != 0):
         raise VerificationError(f"dropping index 0 changes the reduced minimum of {G}")
-
-    twice_genus = 2 + G.p**G.delta * value.twice
-    if twice_genus % 2 != 0:
-        raise VerificationError(f"reduced minimum {value} of {G} lifts to a non-integral genus")
     data = tuple(attaining_datum(G, i) for i in idx if per_index[i].mu == value)
     return MinGenusReport(
         mu0=value,
-        minimum_genus=twice_genus // 2,
+        minimum_genus=genus_of(G, value),
         index_set=idx,
-        zero_droppable=idx.zero_droppable,
         per_index=per_index,
         attaining_data=data,
     )
@@ -197,20 +195,17 @@ def maclachlan_nu(G: AbelianPGroup, h: int) -> HalfInt:
     if not 0 <= h <= rank // 2:
         raise OutOfRangeError(f"orbit genus {h} outside [0, {rank // 2}]")
     q = rank - 2 * h
-    p, e = G.p, G.e
+    weights = period_weights(G.p, G.e)
 
-    pe = p**e
-    twice = 2 * pe * (h - 1)
+    twice = 2 * G.exponent * (h - 1)
     remaining = q
-    last_order_exp = 0
-    for i in range(1, e + 1):
-        take = min(G.r[i - 1], remaining)
+    last_weight = 0
+    for ri, c in zip(G.r, weights):
+        take = min(ri, remaining)
         if take > 0:
-            twice += take * (pe - pe // p**i)
-            last_order_exp = i
+            twice += take * c
+            last_weight = c
         remaining -= take
         if remaining == 0:
             break
-    if q > 0:
-        twice += pe - pe // p**last_order_exp
-    return HalfInt(twice)
+    return HalfInt(twice + last_weight)

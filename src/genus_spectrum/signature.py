@@ -23,9 +23,9 @@ indexed by where the sequence leaves its constant tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .group import AbelianPGroup, e_prime
 from .halfint import HalfInt
 from .mainline import is_nonincreasing, wp_eval
@@ -96,22 +96,35 @@ def _check_length(G: AbelianPGroup, d: PDatum) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def period_weights(p: int, e: int) -> tuple[int, ...]:
+    """(c_1, ..., c_e) with c_i = p^e - p^{e-i}, twice the reduced-genus cost
+    of one period p^i."""
+    pe = p**e
+    return tuple(pe - p ** (e - i) for i in range(1, e + 1))
+
+
 def reduced_genus(G: AbelianPGroup, d: PDatum) -> HalfInt:
-    """(h-1)p^e + (1/2) sum x_i (p^e - p^{e-i}), exactly."""
+    """(h-1)p^e + (1/2) sum x_i c_i, exactly."""
     _check_length(G, d)
-    pe = G.p**G.e
-    twice = 2 * (d.h - 1) * pe
-    for i, xi in enumerate(d.x, start=1):
-        twice += xi * (pe - G.p ** (G.e - i))
-    return HalfInt(twice)
+    weights = period_weights(G.p, G.e)
+    return HalfInt(2 * (d.h - 1) * G.exponent + sum(x * c for x, c in zip(d.x, weights)))
+
+
+def genus_of(G: AbelianPGroup, v: HalfInt) -> int:
+    """The genus 1 + p^delta * v lifted from the reduced genus v."""
+    twice = 2 + G.p_delta * v.twice
+    if twice % 2 != 0:
+        raise VerificationError(f"reduced genus {v} of {G} lifts to a non-integral genus")
+    return twice // 2
 
 
 def genus(G: AbelianPGroup, d: PDatum) -> int:
     """1 + p^delta * reduced_genus; an integer for every admissible datum."""
-    twice = 2 + G.p**G.delta * reduced_genus(G, d).twice
-    if twice % 2 != 0:
-        raise InputError(f"datum {d} does not yield an integral genus for {G}")
-    return twice // 2
+    try:
+        return genus_of(G, reduced_genus(G, d))
+    except VerificationError:
+        raise InputError(f"datum {d} does not yield an integral genus for {G}") from None
 
 
 def alpha(d: PDatum) -> GammaSeq:

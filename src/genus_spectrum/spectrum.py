@@ -29,6 +29,7 @@ from .group import AbelianPGroup, e_prime
 from .halfint import HalfInt
 from .mainline import envelope, hull, wp_eval
 from .mingenus import mu0
+from .signature import genus_of, period_weights
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,8 @@ def has_large_invariants(G: AbelianPGroup) -> bool:
 
 def reduced_min_large(G: AbelianPGroup) -> HalfInt:
     """Closed-form mu_0 = sigma_0 for groups with large invariants."""
-    pe = G.p**G.e
-    twice = -1 - pe
-    for i, ri in enumerate(G.r, start=1):
-        twice += (pe - G.p ** (G.e - i)) * ri
-    return HalfInt(twice)
+    weights = period_weights(G.p, G.e)
+    return HalfInt(-1 - G.exponent + sum(c * ri for c, ri in zip(weights, G.r)))
 
 
 def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
@@ -145,7 +143,7 @@ def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> set[int]:
     p, e = G.p, G.e
     pe = p**e
     s = G.s
-    coeff = [pe - p ** (e - i) for i in range(1, e + 1)]  # coeff[i-1] = c_i
+    coeff = period_weights(p, e)  # coeff[i-1] = c_i
     ep = e_prime(G)
     found: set[int] = set()
     lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
@@ -214,14 +212,13 @@ def scan_bound(G: AbelianPGroup) -> HalfInt:
     below the returned bound, so B only has to be generous, not sharp.
     """
     p, e = G.p, G.e
-    pe = p**e
     s = list(G.s[:e])
     if p == 2 and e_prime(G) < e and s[-1] % 2 == 1:
         s[-1] += 1
     spec_twice = (p - 1) * wp_eval(p, envelope(p, hull(s)))
 
     raised = hull(s[:-1] + [max(s[-1], p - 1)])
-    tail_twice = -2 * pe + (p - 1) * (wp_eval(p, envelope(p, raised)) + 1) + 2 * pe
+    tail_twice = (p - 1) * (wp_eval(p, envelope(p, raised)) + 1)
     return HalfInt(max(spec_twice, tail_twice))
 
 
@@ -342,7 +339,7 @@ def mu0_plus(G: AbelianPGroup) -> HalfInt:
     if G.is_cyclic:
         if pe in (2, 3, 4):
             return HalfInt.of(1)
-        return HalfInt(pe - pe // p - 2)
+        return HalfInt(period_weights(p, e)[0] - 2)
     if G.rank == 2:
         if G.p == 2 and G.r == (2,):
             return HalfInt(1)
@@ -353,7 +350,7 @@ def mu0_plus(G: AbelianPGroup) -> HalfInt:
         if G.r[-1] == 2:
             return HalfInt(pe - 3)
         ep = e_prime(G)
-        return HalfInt(pe - p ** (e - ep) - 2)
+        return HalfInt(period_weights(p, e)[ep - 1] - 2)
 
     desc = full_spectrum(G)
     v = desc.step
@@ -380,25 +377,18 @@ class GenusView:
         return f"({core}) ∖ {{{gaps}}}" if gaps else core
 
 
-def _genus_of(G: AbelianPGroup, v: HalfInt) -> int:
-    twice = 2 + G.p**G.delta * v.twice
-    if twice % 2 != 0:
-        raise VerificationError(f"reduced genus {v} of {G} lifts to a non-integral genus")
-    return twice // 2
-
-
 def genus_view(G: AbelianPGroup, desc: SpectrumDescriptor) -> GenusView:
-    pd = G.p**G.delta
+    pd = G.p_delta
     if pd % desc.epsilon != 0:
         raise VerificationError(f"epsilon = {desc.epsilon} does not divide p^delta = {pd} for {G}")
     ambient = pd == desc.epsilon
-    min_genus = _genus_of(G, desc.min_reduced)
+    min_genus = genus_of(G, desc.min_reduced)
     if ambient and min_genus != 0:
         raise VerificationError(f"{G} has ambient lattice N_0 but minimum genus {min_genus}")
     return GenusView(
         min_genus=min_genus,
         step=pd // desc.epsilon,
-        stable_genus=_genus_of(G, desc.stable_reduced),
-        gap_genera=tuple(_genus_of(G, v) for v in desc.gaps_reduced),
+        stable_genus=genus_of(G, desc.stable_reduced),
+        gap_genera=tuple(genus_of(G, v) for v in desc.gaps_reduced),
         ambient_is_n0=ambient,
     )

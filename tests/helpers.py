@@ -52,6 +52,12 @@ def naive_mainline_members(p: int, a, limit: int) -> set[int]:
     return out
 
 
+def weights(p: int, e: int) -> list[int]:
+    """The period weights p^e - p^{e-i}, i = 1..e."""
+    pe = p**e
+    return [pe - p ** (e - i) for i in range(1, e + 1)]
+
+
 def data_within(G: AbelianPGroup, bound: HalfInt | int):
     """Every datum with reduced genus <= bound, admissible or not."""
     bound = HalfInt.coerce(bound)
@@ -59,7 +65,7 @@ def data_within(G: AbelianPGroup, bound: HalfInt | int):
     pe = p**e
     twice = bound.twice
     h_max = max(twice // (2 * pe) + 1, 0)
-    x_max = [(twice + 2 * pe) // (pe - p ** (e - i)) for i in range(1, e + 1)]
+    x_max = [(twice + 2 * pe) // c for c in weights(p, e)]
     for h in range(h_max + 1):
         for x in product(*(range(m + 1) for m in x_max)):
             d = PDatum(x, h)

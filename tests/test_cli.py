@@ -177,3 +177,28 @@ def test_deterministic_bytes():
     first = subprocess.run(cmd, capture_output=True).stdout
     second = subprocess.run(cmd, capture_output=True).stdout
     assert first == second and b"{2,3,5}" in first
+
+
+def test_large_prime_is_decided_quickly():
+    proc = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "invariants", "1000000000000000003:1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert "N = 1" in proc.stdout
+
+
+def test_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genus_spectrum", "oracle", "2:1", "--bound", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

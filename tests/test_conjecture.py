@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from genus_spectrum import (
     spectra_equal,
     varying_exponent_pair,
 )
+from genus_spectrum.conjecture import _Side
 
 
 def test_rho():
@@ -220,3 +222,17 @@ def test_varying_exponent_pair():
         assert 2 * g1.delta == 2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12
         expect = HalfInt((p**3 + 2 * p**2 - 4) * p ** (p + 2) - p**3 - p**2 + 1)
         assert mu0(g1).mu0 == expect == mu0(g2).mu0
+
+
+def test_witness_recovery_leaves_no_reference_cycles():
+    side = _Side(3, 5, 1, False, 1, 60)
+    targets = [(d, side.reach(d).bit_length() - 1) for d in range(side.dmax + 1) if side.reach(d)]
+    gc.collect()
+    gc.disable()
+    try:
+        found = [side.witnesses(d, v) for d, v in targets[:5]]
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert len(found) == 5 and all(found)
+    assert leaked == 0

@@ -7,6 +7,7 @@ from genus_spectrum import (
     InputError,
     InvalidInvariantsError,
     InvalidPrimeError,
+    OutOfRangeError,
     e_prime,
     invariants,
     is_prime,
@@ -87,3 +88,28 @@ def test_encode_parse_round_trip(p, r):
         r = r[:-1] + [1]
     G = AbelianPGroup(p, tuple(r))
     assert parse_group(G.encode()) == G
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-2, 20000) if is_prime(n)] == [
+        n for n in range(-2, 20000) if trial(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes_and_decides_large_primes():
+    # a Carmichael number, two strong pseudoprimes to small bases, and one to
+    # every prime base up to 37, which only the base 41 exposes
+    for n in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    with pytest.raises(OutOfRangeError):
+        is_prime(4 * 10**24)

@@ -101,6 +101,7 @@ def test_mu0_against_brute_force():
         report = mu0(G)
         best, witnesses = brute_min_reduced(G)
         assert report.mu0 == best, G
+        assert report.zero_droppable == index_set(G).zero_droppable
         # every attaining datum is admissible, reproduces the minimum, and
         # the report lists exactly the brute-force witnesses
         for d in report.attaining_data:

@@ -7,6 +7,7 @@ from genus_spectrum import (
     HalfInt,
     InputError,
     PDatum,
+    VerificationError,
     alpha,
     alpha_inv,
     classify_gamma_seq,
@@ -18,7 +19,8 @@ from genus_spectrum import (
     parse_datum,
     reduced_genus,
 )
-from helpers import all_groups, data_within, nonincreasing_seqs
+from genus_spectrum.signature import genus_of, period_weights
+from helpers import all_groups, data_within, nonincreasing_seqs, weights
 
 Z2Z4 = AbelianPGroup(2, (1, 1))
 Z8 = AbelianPGroup(2, (0, 0, 1))
@@ -62,6 +64,22 @@ def test_genus_examples():
         assert genus(G, PDatum((0,) * G.e, 1)) == 1
     with pytest.raises(InputError):
         genus(Z8, parse_datum("1,2;0"))
+    # right length, but the lift 1 + 1 * (-3/2) is not an integer
+    with pytest.raises(InputError):
+        genus(AbelianPGroup(2, (1,)), PDatum((1,), 0))
+
+
+def test_genus_of_rejects_a_non_integral_lift():
+    Z2 = AbelianPGroup(2, (1,))
+    assert genus_of(Z2, HalfInt(-2)) == 0
+    with pytest.raises(VerificationError):
+        genus_of(Z2, HalfInt(-3))
+
+
+def test_period_weights_match_the_reference():
+    for p in (2, 3, 5):
+        for e in range(1, 7):
+            assert period_weights(p, e) == tuple(weights(p, e))
 
 
 def test_reduced_genus_examples():

@@ -13,3 +13,21 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_p_delta_is_computed_only_in_group():
+    # p^delta has one home, AbelianPGroup.p_delta; every other module reads it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "group.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Pow)
+            and isinstance(n.right, ast.Attribute)
+            and n.right.attr == "delta"
+        ]
+    assert found == []
