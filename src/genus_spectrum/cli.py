@@ -27,7 +27,7 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 def _factored_genus(G: group.AbelianPGroup, value: HalfInt) -> str:
     if G.delta == 0 or value == 0:
-        return str(signature.genus_of(G, value))
+        return str(signature.genus_of(G.p_delta, value))
     return f"1+{G.p}^{G.delta}*{value}"
 
 
@@ -103,7 +103,7 @@ def _cmd_mu0(args) -> int:
 def _cmd_mu0plus(args) -> int:
     G = group.parse_group(args.group)
     value = spectrum.mu0_plus(G)
-    genus = signature.genus_of(G, value)
+    genus = signature.genus_of(G.p_delta, value)
     payload = {
         "group": G.encode(),
         "mu0_plus": str(value),

@@ -81,7 +81,8 @@ def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     """(start, step) with sp(G) = start + step * N_0, for large invariants."""
     if not has_large_invariants(G):
         raise UnsupportedError(f"{G} does not satisfy the large-invariant hypothesis")
-    return genus_of(G, reduced_min_large(G)), G.p_delta // G.epsilon
+    pd = G.p_delta
+    return genus_of(pd, reduced_min_large(G)), pd // G.epsilon
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:

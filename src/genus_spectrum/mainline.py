@@ -9,8 +9,13 @@ therefore co-finite in N_0.  The profile of a records the minimum mu(a),
 the stabilisation point sigma(a) past which every integer is attained, and
 the finitely many gaps in between.
 
-No closed form for sigma(a) or the gap set is known in general; the profile
-is computed by an exact membership scan below the proven enveloping bound.
+Substituting b_i = y_i + ... + y_e turns the non-increasing b into arbitrary
+y >= 0 with wp(b) = sum(y_j * q_j), where q_j = wp(1^j 0^(e-j)), and turns
+domination of the hull t into the tail-sum floors y_i + ... + y_e >= t_i.
+This tail-bounded knapsack has the shape of the reduced genera of admissible
+data, so one engine, `_progressions`, enumerates both.  No closed form for
+sigma(a) or the gap set is known in general; the profile is read off that
+enumeration below the proven enveloping bound.
 """
 
 from __future__ import annotations
@@ -111,44 +116,72 @@ def gap_norm(entries) -> "int | _Infinity":
     return min(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
 
 
+def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
+    """Values <= bound of v + sum(y_i * coeffs[i-1]) as (step, least start) pairs.
+
+    Each start (f, v, cover, x, step) opens a loop y_f = x, x + step, ...;
+    below it each y_i (i < f) runs from max(0, floors[i-1] - cover - y_{i+1}
+    - ... - y_f) up by 1.  The coefficients are positive, the floors
+    non-increasing and each step is 1 or 2.
+
+    The innermost coordinate y_1 is unbounded above, so its values form one
+    arithmetic progression; per (step, residue) only the least start is
+    kept.  A loop over y_i depends only on i, its step, the partial value and
+    the tail sum capped at floors[0].  Loops at level i never nest, so a loop
+    that reaches a state an earlier loop passed would repeat the rest of that
+    loop, and it stops.  With O(k floors[0] (bound - min v)) states for k
+    levels, the work grows linearly with the bound, not as a power of it.
+    """
+    cap, levels = floors[0], len(coeffs)
+    lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
+    passed: set[int] = set()
+
+    def scan(i: int, v: int, cover: int, x: int, step: int) -> None:
+        c = coeffs[i - 1]
+        v += c * x
+        if i == 1:
+            key = (c * step, v % (c * step))
+            if v < lowest.get(key, bound + 1):
+                lowest[key] = v
+            return
+        while v <= bound:
+            # (i, step, v, tail sum capped at floors[0]) packed into one int
+            state = ((v * (cap + 1) + min(cover + x, cap)) * (levels + 1) + i) * 2 + step - 1
+            if state in passed:
+                break
+            passed.add(state)
+            scan(i - 1, v, cover + x, max(0, floors[i - 2] - cover - x), 1)
+            x += step
+            v += c * step
+
+    for start in starts:
+        scan(*start)
+    return [(c, v) for (c, _), v in lowest.items()]
+
+
+def _mainline_progressions(p: int, t: IntSeq, bound: int) -> list[tuple[int, int]]:
+    # wp(b) = sum(y_j * q_j) over y_j >= 0 with y_i + ... + y_e >= t_i
+    e = len(t)
+    q = [wp_eval(p, [1] * j + [0] * (e - j)) for j in range(1, e + 1)]
+    return _progressions(q, t, bound, [(e, 0, 0, t[-1], 1)])
+
+
 def is_mainline(p: int, entries, m: int) -> bool:
     """Is m = wp(b) for some non-increasing b dominating a?
 
-    Exact search from the rightmost position: once b_e, ..., b_{j+1} are
-    fixed, the remaining weights all carry the factor p^(e-j), so the residue
-    must be divisible by it; equivalently b_j is determined mod p.  Branches
-    are cut when even the minimal admissible completion overshoots.
+    Every progression has step q_1 = p^(e-1), and every integer from
+    U = wp(envelope) on is a member, so each residue mod q_1 has its least
+    member below U + q_1.  The enumeration (see `_progressions`) therefore
+    stops at min(m, U + q_1 - 1): its cost grows with m up to that bound and
+    stays flat beyond it.
     """
     if p < 2:
         raise InputError(f"mainline membership needs p >= 2, got {p}")
     if m < 0:
         return False
     t = hull(entries)
-    return _member(p, t, len(t), 0, m)
-
-
-def _min_completion(p: int, t: IntSeq, j: int, floor: int) -> int:
-    # wp of the cheapest non-increasing filling of positions 1..j given that
-    # position j+1 already holds `floor`.
-    total = 0
-    for k in range(j):
-        total = total * p + max(t[k], floor)
-    return total
-
-
-def _member(p: int, t: IntSeq, j: int, floor: int, target: int) -> bool:
-    if j == 0:
-        return target == 0
-    lo = max(t[j - 1], floor)
-    b = lo + (target - lo) % p  # smallest candidate >= lo congruent to target mod p
-    while b <= target:
-        rest = (target - b) // p
-        if _min_completion(p, t, j - 1, b) > rest:
-            return False  # raising b only raises the floor and shrinks rest
-        if _member(p, t, j - 1, b, rest):
-            return True
-        b += p
-    return False
+    bound = min(m, wp_eval(p, envelope(p, t)) + p ** (len(t) - 1) - 1)
+    return any((m - v) % c == 0 for c, v in _mainline_progressions(p, t, bound))
 
 
 @dataclass(frozen=True)
@@ -164,17 +197,18 @@ def mainline_profile(p: int, entries) -> MainlineProfile:
     """Profile of the mainline integers of a.
 
     mu is wp of the hull.  Every integer >= wp of the p-enveloping sequence
-    of the hull is a member, so scanning up to that bound finds all
-    non-members; sigma is one past the largest of them (mu itself when the
-    scan finds none above mu).
+    of the hull is a member, so enumerating up to that bound finds all
+    non-members; sigma is one past the largest of them (mu itself when
+    there are none above mu).
     """
     if p < 2:
         raise InputError(f"mainline profile needs p >= 2, got {p}")
     t = hull(entries)
     mu = wp_eval(p, t)
     upper = wp_eval(p, envelope(p, t))
-    gaps = tuple(
-        m for m in range(mu + 1, upper) if not _member(p, t, len(t), 0, m)
-    )
+    members: set[int] = set()
+    for c, v in _mainline_progressions(p, t, upper - 1):
+        members.update(range(v, upper, c))
+    gaps = tuple(m for m in range(mu + 1, upper) if m not in members)
     sigma = gaps[-1] + 1 if gaps else mu
     return MainlineProfile(mu=mu, sigma=sigma, gaps=gaps)

@@ -171,7 +171,7 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
     data = tuple(attaining_datum(G, i) for i in idx if per_index[i].mu == value)
     return MinGenusReport(
         mu0=value,
-        minimum_genus=genus_of(G, value),
+        minimum_genus=genus_of(G.p_delta, value),
         index_set=idx,
         per_index=per_index,
         attaining_data=data,

@@ -111,18 +111,18 @@ def reduced_genus(G: AbelianPGroup, d: PDatum) -> HalfInt:
     return HalfInt(2 * (d.h - 1) * G.exponent + sum(x * c for x, c in zip(d.x, weights)))
 
 
-def genus_of(G: AbelianPGroup, v: HalfInt) -> int:
+def genus_of(p_delta: int, v: HalfInt) -> int:
     """The genus 1 + p^delta * v lifted from the reduced genus v."""
-    twice = 2 + G.p_delta * v.twice
+    twice = 2 + p_delta * v.twice
     if twice % 2 != 0:
-        raise VerificationError(f"reduced genus {v} of {G} lifts to a non-integral genus")
+        raise VerificationError(f"reduced genus {v} has a non-integral lift at p^delta = {p_delta}")
     return twice // 2
 
 
 def genus(G: AbelianPGroup, d: PDatum) -> int:
     """1 + p^delta * reduced_genus; an integer for every admissible datum."""
     try:
-        return genus_of(G, reduced_genus(G, d))
+        return genus_of(G.p_delta, reduced_genus(G, d))
     except VerificationError:
         raise InputError(f"datum {d} does not yield an integral genus for {G}") from None
 

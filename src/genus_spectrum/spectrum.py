@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup, e_prime
 from .halfint import HalfInt
-from .mainline import envelope, hull, wp_eval
+from .mainline import _progressions, envelope, hull, wp_eval
 from .mingenus import mu0
 from .signature import genus_of, period_weights
 
@@ -125,65 +125,28 @@ def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> set[int]:
     """Doubled reduced genera <= twice_bound of all admissible data.
 
     Only admissible data are enumerated: the criterion's tail-sum bounds
-    2h + x_i + ... + x_f >= s_i are the loops' lower limits.  For each h the
-    period-free datum counts when 2h >= s_1 - 1; otherwise the top period
-    index f is fixed (2h >= s_{f+1} - 1), x_f starts at max(2, s_f - 2h)
-    (even, stepping by 2, for p = 2 above e'), and each lower x_i starts at
-    max(0, s_i - 2h - x_{i+1} - ... - x_f).
-
-    The innermost coordinate is unbounded above, so its values form one
-    arithmetic progression; per (step, residue) only the least start is
-    kept, and each progression is added once at the end.  A loop over x_i
-    depends only on i, its step, the partial sum and the tail sum capped at
-    s_1.  Loops at level i never nest, so a loop that reaches a state an
-    earlier loop passed would repeat the rest of that loop, and it stops.
-    With O(e s_1 (twice_bound + 2p^e)) states, the work grows linearly with
-    the bound, not as a power of it.
+    2h + x_i + ... + x_f >= s_i are the loops' lower limits.  The period-free
+    datum counts when 2h >= s_1 - 1, which gives one progression in h.
+    Otherwise the top period index f is fixed (2h >= s_{f+1} - 1), x_f
+    starts at max(2, s_f - 2h) (even, stepping by 2, for p = 2 above e'),
+    and the lower x_i are left to the shared engine `_progressions`.
     """
     p, e = G.p, G.e
     pe = p**e
     s = G.s
-    coeff = period_weights(p, e)  # coeff[i-1] = c_i
     ep = e_prime(G)
+    # above e' the criterion asks for an even x_f; there s_f <= 2, so x_f
+    # starts at 2 and steps by 2
+    starts = [
+        (f, 2 * (h - 1) * pe, 2 * h, max(2, s[f - 1] - 2 * h), 2 if p == 2 and ep < f else 1)
+        for h in range(twice_bound // (2 * pe) + 2)
+        for f in range(1, e + 1)
+        if 2 * h >= s[f] - 1
+    ]
+    progressions = _progressions(period_weights(p, e), s, twice_bound, starts)
+    progressions.append((2 * pe, 2 * (s[0] // 2 - 1) * pe))
     found: set[int] = set()
-    lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
-    passed: set[int] = set()
-
-    def scan(i: int, v: int, cover: int, x: int, step: int) -> None:
-        # x_i runs over x, x + step, ...; v is twice the reduced genus of h and
-        # x_{i+1}..x_f, and cover = 2h + x_{i+1} + ... + x_f
-        c = coeff[i - 1]
-        v += c * x
-        if i == 1:
-            key = (c * step, v % (c * step))
-            if v < lowest.get(key, twice_bound + 1):
-                lowest[key] = v
-            return
-        while v <= twice_bound:
-            # (i, step, v, tail sum capped at s_1) packed into one int
-            state = ((v * (s[0] + 1) + min(cover + x, s[0])) * (e + 1) + i) * 2 + step - 1
-            if state in passed:
-                break
-            passed.add(state)
-            scan(i - 1, v, cover + x, max(0, s[i - 2] - cover - x), 1)
-            x += step
-            v += c * step
-
-    h = 0
-    while 2 * (h - 1) * pe <= twice_bound:
-        base = 2 * (h - 1) * pe
-        two_h = 2 * h
-        if two_h >= s[0] - 1:
-            found.add(base)
-        for f in range(1, e + 1):
-            if two_h < s[f] - 1:
-                continue
-            # above e' the criterion asks for an even x_f; there s_f <= 2, so x
-            # starts at 2 and steps by 2
-            step = 2 if p == 2 and ep < f else 1
-            scan(f, base, two_h, max(2, s[f - 1] - two_h), step)
-        h += 1
-    for (c, _), v in lowest.items():
+    for c, v in progressions:
         found.update(range(v, twice_bound + 1, c))
     return found
 
@@ -382,13 +345,13 @@ def genus_view(G: AbelianPGroup, desc: SpectrumDescriptor) -> GenusView:
     if pd % desc.epsilon != 0:
         raise VerificationError(f"epsilon = {desc.epsilon} does not divide p^delta = {pd} for {G}")
     ambient = pd == desc.epsilon
-    min_genus = genus_of(G, desc.min_reduced)
+    min_genus = genus_of(pd, desc.min_reduced)
     if ambient and min_genus != 0:
         raise VerificationError(f"{G} has ambient lattice N_0 but minimum genus {min_genus}")
     return GenusView(
         min_genus=min_genus,
         step=pd // desc.epsilon,
-        stable_genus=genus_of(G, desc.stable_reduced),
-        gap_genera=tuple(genus_of(G, v) for v in desc.gaps_reduced),
+        stable_genus=genus_of(pd, desc.stable_reduced),
+        gap_genera=tuple(genus_of(pd, v) for v in desc.gaps_reduced),
         ambient_is_n0=ambient,
     )

@@ -202,3 +202,22 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_optimized_interpreter_keeps_output_and_self_checks():
+    # python -O strips assert statements; no result or self-check may depend on them
+    for argv in (["mainline", "2,2", "--p", "2"], ["spectrum", "2:0,0,0,1"]):
+        cmd = ["-m", "genus_spectrum", *argv]
+        plain = subprocess.run([sys.executable, *cmd], capture_output=True, check=True).stdout
+        optimized = subprocess.run([sys.executable, "-O", *cmd], capture_output=True, check=True)
+        assert optimized.stdout == plain
+    lift = (
+        "from genus_spectrum import HalfInt, VerificationError\n"
+        "from genus_spectrum.signature import genus_of\n"
+        "try:\n"
+        "    genus_of(1, HalfInt(-3))\n"
+        "except VerificationError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", lift], capture_output=True, text=True)
+    assert proc.stdout == "raised\n", proc.stderr

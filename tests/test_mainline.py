@@ -9,6 +9,7 @@ from genus_spectrum import (
     gap_norm,
     hull,
     is_mainline,
+    mainline,
     mainline_profile,
     wp_eval,
 )
@@ -97,10 +98,30 @@ def test_envelope_fixed_point(p, a):
     assert (env == a) == (gap_norm(a) is INFINITY or gap_norm(a) >= p - 1)
 
 
-@given(primes, seqs, st.integers(0, 60))
-@settings(max_examples=300)
-def test_membership_matches_enumerator(p, a, m):
+@given(primes, seqs, st.data())
+@settings(max_examples=300, deadline=None)
+def test_membership_matches_enumerator(p, a, data):
+    # every integer past the envelope's value is a member, so this limit
+    # leaves p^e known members above the last gap
+    limit = wp_eval(p, envelope(p, hull(a))) + p ** len(a)
+    m = data.draw(st.integers(0, 60) | st.integers(0, limit))
     assert is_mainline(p, a, m) == (m in naive_mainline_members(p, a, m))
+
+
+def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatch):
+    # each residue mod p^(e-1) has its least member below wp(envelope) + p^(e-1)
+    t = (4, 2, 1)
+    cap = wp_eval(3, envelope(3, t)) + 3**2 - 1
+    engine = mainline._mainline_progressions
+
+    def capped(p, t, bound):
+        assert bound <= cap, bound
+        return engine(p, t, bound)
+
+    monkeypatch.setattr(mainline, "_mainline_progressions", capped)
+    assert is_mainline(3, t, 10**12)
+    assert is_mainline(3, t, 10**30 + 1)
+    assert not is_mainline(3, t, 54)  # the last gap, see mainline_profile
 
 
 @given(primes, seqs, st.integers(0, 60))
@@ -125,6 +146,17 @@ def test_enforced_gap_profile(p, increments):
 @given(primes, noninc, st.integers(0, 8))
 def test_cofinite_beyond_envelope(p, a, extra):
     assert is_mainline(p, a, wp_eval(p, envelope(p, a)) + extra)
+
+
+@given(primes, st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple))
+@settings(max_examples=150, deadline=None)
+def test_profile_matches_enumerator(p, a):
+    limit = wp_eval(p, envelope(p, hull(a))) + p ** len(a)
+    members = naive_mainline_members(p, a, limit)
+    mu = min(members)
+    gaps = tuple(m for m in range(mu + 1, limit + 1) if m not in members)
+    profile = mainline_profile(p, a)
+    assert (profile.mu, profile.sigma, profile.gaps) == (mu, gaps[-1] + 1 if gaps else mu, gaps)
 
 
 @given(primes, seqs)

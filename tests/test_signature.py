@@ -71,9 +71,9 @@ def test_genus_examples():
 
 def test_genus_of_rejects_a_non_integral_lift():
     Z2 = AbelianPGroup(2, (1,))
-    assert genus_of(Z2, HalfInt(-2)) == 0
+    assert genus_of(Z2.p_delta, HalfInt(-2)) == 0
     with pytest.raises(VerificationError):
-        genus_of(Z2, HalfInt(-3))
+        genus_of(Z2.p_delta, HalfInt(-3))
 
 
 def test_period_weights_match_the_reference():

@@ -67,11 +67,12 @@ def test_oracle_examples():
 
 
 def test_oracle_against_dumb_enumerations():
-    bound = HalfInt.of(10)
-    for G in all_groups((2, 3, 5), 3, 2):
-        got = oracle_reduced_spectrum(G, bound)
-        assert got == admissible_values(G, bound), G
-        assert got == block_route_values(G, bound), G
+    # the bounds below 1 leave the period-free progression empty or at one value
+    for bound in (HalfInt.of(-1), HalfInt(-1), HalfInt.of(0), HalfInt.of(10)):
+        for G in all_groups((2, 3, 5), 3, 2):
+            got = oracle_reduced_spectrum(G, bound)
+            assert got == admissible_values(G, bound), (G, bound)
+            assert got == block_route_values(G, bound), (G, bound)
 
 
 def test_oracle_huge_exponent_small_bound():
