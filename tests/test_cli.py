@@ -206,7 +206,11 @@ def test_closed_pipe_exits_quietly():
 
 def test_optimized_interpreter_keeps_output_and_self_checks():
     # python -O strips assert statements; no result or self-check may depend on them
-    for argv in (["mainline", "2,2", "--p", "2"], ["spectrum", "2:0,0,0,1"]):
+    for argv in (
+        ["mainline", "2,2", "--p", "2"],
+        ["spectrum", "2:0,0,0,1"],
+        ["search-talu", "--p", "2", "--e", "4", "--e-tilde", "3", "--delta-max", "74"],
+    ):
         cmd = ["-m", "genus_spectrum", *argv]
         plain = subprocess.run([sys.executable, *cmd], capture_output=True, check=True).stdout
         optimized = subprocess.run([sys.executable, "-O", *cmd], capture_output=True, check=True)

@@ -181,22 +181,53 @@ def test_search_validation():
 
 
 def test_search_output_contract():
-    pairs = search_counterexamples(2, 4, 4, 20)
-    assert pairs, "same-exponent pairs exist from deficiency 16 on"
-    deltas = [q.delta for q in pairs]
-    assert deltas == sorted(deltas)
-    for q in pairs:
-        assert q.g1.r != q.g2.r
-        assert has_large_invariants(q.g1) and has_large_invariants(q.g2)
-        assert q.delta <= 20
-        assert mu0(q.g1).mu0 == q.mu1 and mu0(q.g2).mu0 == q.mu2
-        # spectra agree, re-checked through the oracle near the minimum
-        lift = 2 if q.relation == RELATION_MIXED else 1
-        w1 = oracle_reduced_spectrum(q.g1, q.mu1 + 3)
-        w2 = oracle_reduced_spectrum(q.g2, q.mu2 + 3 * lift)
-        g1 = {2 + q.g1.p**q.g1.delta * v.twice for v in w1}
-        g2 = {2 + q.g2.p**q.g2.delta * v.twice for v in w2}
-        assert g1 == g2, q
+    for args in ((2, 4, 4, 20), (2, 4, 4, 86, RELATION_MIXED)):
+        pairs = search_counterexamples(*args)
+        assert pairs, "same-exponent pairs exist from deficiency 16 on, a mixed one at 86"
+        deltas = [q.delta for q in pairs]
+        assert deltas == sorted(deltas)
+        for q in pairs:
+            assert q.g1.r != q.g2.r
+            assert has_large_invariants(q.g1) and has_large_invariants(q.g2)
+            assert q.delta <= args[3]
+            assert (q.delta1, q.delta2) == (q.g1.delta, q.g2.delta)
+            assert mu0(q.g1).mu0 == q.mu1 and mu0(q.g2).mu0 == q.mu2
+            if q.relation == RELATION_MIXED:
+                assert q.delta2 == q.delta1 - 1 and q.mu2 == q.mu1 * 2
+            else:
+                assert q.delta1 == q.delta2 and q.mu1 == q.mu2
+            # spectra agree, re-checked through the oracle near the minimum
+            lift = 2 if q.relation == RELATION_MIXED else 1
+            w1 = oracle_reduced_spectrum(q.g1, q.mu1 + 3)
+            w2 = oracle_reduced_spectrum(q.g2, q.mu2 + 3 * lift)
+            g1 = {2 + q.g1.p_delta * v.twice for v in w1}
+            g2 = {2 + q.g2.p_delta * v.twice for v in w2}
+            assert g1 == g2, q
+
+
+def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeypatch):
+    # wrap the side constructor and witness recovery the way bench/tracer.py does
+    built: list[_Side] = []
+    asked: list[tuple[int, int, int]] = []
+    init, witnesses = _Side.__init__, _Side.witnesses
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_witnesses(self, d, value):
+        asked.append((id(self), d, value))
+        return witnesses(self, d, value)
+
+    monkeypatch.setattr(_Side, "__init__", counting_init)
+    monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
+
+    assert len(search_counterexamples(2, 5, 4, 60)) == 65
+    assert asked and len(asked) == len(set(asked))
+    built.clear()
+    search_counterexamples(2, 4, 4, 40)
+    # the two same-lattice classes each read one side; the mixed class two
+    assert len(built) == 4
 
 
 def test_varying_exponent_minimality_p3():
