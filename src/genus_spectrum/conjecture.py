@@ -11,11 +11,13 @@ produce equal-spectrum pairs:
 
 * varying exponent: an exhaustive search over invariant sequences, grouped
   by cyclic deficiency.  Sequences of exponent p^e and deficiency delta form
-  a knapsack family (weights i, values p^e - p^{e-i}); per deficiency the
-  achievable mu_0 values are matched across the two exponents through exact
-  min/max envelopes and, where the envelopes overlap, bitset reachability
-  joins.  This keeps the search exhaustive for deficiencies in the
-  thousands, far beyond direct enumeration.
+  a knapsack family (weights i, values p^e - p^{e-i}).  Per deficiency,
+  exact min/max envelopes bound the mu_0 values of each exponent, and only
+  the overlap of the two envelopes is searched: each side computes, as a
+  bitset over that window, the values it reaches, from a memo of
+  (coin, remaining weight, window) states that serves every deficiency and
+  the witness recovery alike.  This keeps the search exhaustive for
+  deficiencies in the thousands, far beyond direct enumeration.
 
 For p = 2 the convention of the varying-exponent search is that the group of
 exponent p^e (the first one) has r_e >= 2, i.e. carries the half-integral
@@ -27,6 +29,7 @@ reduced lattice.  The partner either also has a repeated top summand
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     InputError,
@@ -161,7 +164,12 @@ class _Side:
         self.base_twice = reduced_min_large(floor_group).twice
         weights = period_weights(p, e)
         self.coin_index = [i for i in range(1, e + 1) if not (pin_top and i == e)]
-        self.coins = [(i, scale * weights[i - 1]) for i in self.coin_index]
+        values = [scale * weights[i - 1] for i in self.coin_index]
+        # every free value is a multiple of unit (0 without coins), so the
+        # envelopes, windows and memo count in units: p - 1 times fewer bits
+        # for odd p
+        self.unit = gcd(*values)
+        self.coins = [(i, v // self.unit) for i, v in zip(self.coin_index, values)]
         self.dmax = max(delta_max - self.delta0, 0)
 
         # exact value envelopes per remaining-coin suffix; index 0 = all coins
@@ -181,57 +189,130 @@ class _Side:
                 self.smin[j][d] = lo
                 self.smax[j][d] = hi
 
-        self._slices: dict[int, int] = {}
-        self._next = 0
-        self._maxw = max((w for w, _ in self.coins), default=1)
+        # (coin index j, remaining weight rd, lo, hi) -> (bits, live counts):
+        # what coins j.. reach at weight rd in [lo, hi], see _window
+        self._memo: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
     def interval(self, d: int) -> tuple[int, int] | None:
-        """Envelope of scale * (twice mu_0) at free weight d."""
+        """Envelope of the free values, in units, at free weight d."""
         if d < 0 or d > self.dmax or self.smin[0][d] is None:
             return None
-        base = self.scale * self.base_twice
-        return base + self.smin[0][d], base + self.smax[0][d]
+        return self.smin[0][d], self.smax[0][d]
 
-    def reach(self, d: int) -> int:
-        """Bitset of achievable scaled values at exact weight d (rolling)."""
-        if d < 0:
-            return 0
-        while self._next <= d:
-            if self._next == 0:
-                cur = 1
-            else:
-                cur = 0
-                for w, v in self.coins:
-                    j = self._next - w
-                    if j >= 0:
-                        cur |= self._slices[j] << v
-            self._slices[self._next] = cur
-            self._slices.pop(self._next - self._maxw - 1, None)
-            self._next += 1
-        return self._slices[d]
+    def _root(self, d: int, lo: int, hi: int) -> tuple[int, int, int, int] | None:
+        """Memo key of all coins at weight d on the values [lo, hi], the
+        window clipped to the envelope; None where it is empty."""
+        iv = self.interval(d)
+        if iv is None:
+            return None
+        lo, hi = max(lo, iv[0]), min(hi, iv[1])
+        return (0, d, lo, hi) if lo <= hi else None
 
-    def witnesses(self, d: int, value: int) -> list[tuple[int, ...]]:
-        """All free vectors t with weight d and scaled value `value`."""
-        coins, smin, smax = self.coins, self.smin, self.smax
-        n = len(coins)
-        out: list[tuple[int, ...]] = []
-        # depth-first over (coin index, remaining weight, remaining value,
-        # prefix of t); children are pushed in reverse so t comes out ascending
-        todo = [(0, d, value, ())]
+    def _kids(
+        self, key: tuple[int, int, int, int], ks: tuple[int, ...] | None = None
+    ) -> list[tuple[int, tuple, int]]:
+        """(count k of coin j, child key, shift) for each child whose window,
+        clipped to its envelope, is not empty; child bit b is parent bit
+        b + shift.  `ks` limits the counts tried (default: all)."""
+        j, rd, lo, hi = key
+        w, v = self.coins[j]
+        lo_row, hi_row = self.smin[j + 1], self.smax[j + 1]
+        out = []
+        for k in range(rd // w + 1) if ks is None else ks:
+            nd, kv = rd - k * w, k * v
+            env_lo = lo_row[nd]
+            if env_lo is not None and env_lo + kv <= hi and lo <= hi_row[nd] + kv:
+                kid_lo = max(lo - kv, env_lo)
+                out.append((k, (j + 1, nd, kid_lo, min(hi - kv, hi_row[nd])), kid_lo - lo + kv))
+        return out
+
+    def _window(self, key: tuple[int, int, int, int]) -> int:
+        """Bits, relative to its lo, of the values in key's window that coins
+        j.. reach at weight rd.
+
+        The memo keeps, per key, these bits and the counts k whose child has
+        any bit set.  It is filled on an explicit stack, since a chain of
+        keys is as long as the coin list.
+        """
+        memo, n = self._memo, len(self.coins)
+        pending: dict[tuple, list] = {}
+        todo = [key]
         while todo:
-            j, rd, rv, t = todo.pop()
-            if j == n:
-                if rd == 0 and rv == 0:
-                    out.append(t)
+            node = todo[-1]
+            if node in memo:
+                todo.pop()
                 continue
-            w, v = coins[j]
-            lo_row, hi_row = smin[j + 1], smax[j + 1]
-            for k in range(rd // w, -1, -1):
-                nd, nv = rd - k * w, rv - k * v
-                lo = lo_row[nd]
-                if lo is None or not lo <= nv <= hi_row[nd]:
+            if node[0] == n:
+                # past the last coin only weight 0 and value 0 are left
+                memo[node] = (1, ())
+                todo.pop()
+                continue
+            kids = pending.pop(node, None)
+            if kids is None:
+                kids = self._kids(node)
+                missing = [kid for _, kid, _ in kids if kid not in memo]
+                if missing:
+                    # every key above this one on the stack is a descendant,
+                    # so all its children are done when it is on top again
+                    pending[node] = kids
+                    todo.extend(missing)
                     continue
-                todo.append((j + 1, nd, nv, t + (k,)))
+            bits, live = 0, []
+            for k, kid, shift in kids:
+                kid_bits = memo[kid][0]
+                if kid_bits:
+                    bits |= kid_bits << shift
+                    live.append(k)
+            memo[node] = (bits, tuple(live))
+            todo.pop()
+        return memo[key][0]
+
+    def reach(self, d: int, lo: int, hi: int) -> int:
+        """Bitset, relative to lo, of the free values in [lo, hi] (in units)
+        that the coins reach at exact weight d."""
+        key = self._root(d, lo, hi)
+        if key is None:
+            return 0
+        bits = self._window(key)
+        # A root key (all coins, weight d) is never a child, so only the same
+        # deficiency's witness walk reads it again, and that rebuilds it from
+        # its memoised children.  Roots are the widest windows: keeping them
+        # would hold 30 of the 75 MB of memo at (7, 9, 8, 3725).
+        del self._memo[key]
+        return bits << (key[2] - lo)
+
+    def witnesses(
+        self, d: int, lo: int, hi: int, wanted: int
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """(value, t) for every free vector t of weight d whose value, in
+        units, lies in [lo, hi] and has its bit, relative to lo, set in
+        `wanted`.
+
+        The walk carries the mask of still-wanted values and ANDs it with
+        each child's memoised window, so every node it visits lies on a path
+        to an output.  Vectors come out in ascending order.
+        """
+        key = self._root(d, lo, hi)
+        if key is None:
+            return []
+        memo, coins, n = self._memo, self.coins, len(self.coins)
+        out: list[tuple[int, tuple[int, ...]]] = []
+        # (key, wanted bits relative to its lo, value so far, prefix of t);
+        # children are pushed in reverse so t comes out ascending
+        mask = (wanted >> (key[2] - lo)) & self._window(key)
+        todo = [(key, mask, 0, ())] if mask else []
+        while todo:
+            node, mask, acc, t = todo.pop()
+            j = node[0]
+            if j == n:
+                out.append((acc, t))
+                continue
+            v = coins[j][1]
+            for k, kid, shift in reversed(self._kids(node, memo[node][1])):
+                sub = (mask >> shift) & memo[kid][0]
+                if sub:
+                    todo.append((kid, sub, acc + k * v, t + (k,)))
+        del self._memo[key]  # as in reach
         return out
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
@@ -240,7 +321,8 @@ class _Side:
             r[i - 1] += k
         return AbelianPGroup(self.p, tuple(r))
 
-    def mu_of(self, value: int) -> HalfInt:
+    def mu_of(self, units: int) -> HalfInt:
+        value = units * self.unit
         if value % self.scale != 0:
             raise VerificationError(f"weighted value {value} is not a multiple of {self.scale}")
         return HalfInt(self.base_twice + value // self.scale)
@@ -250,39 +332,56 @@ def _search_class(
     side1: _Side, side2: _Side, delta_offset: int, delta_max: int, relation: str
 ) -> list[CounterexamplePair]:
     shared = side1 is side2
-    # a bit stands for scale * (twice mu_0), so shifting by the scaled bases
-    # lines the sides up exactly; with scales (2, 1) a match is mu_2 = 2 mu_1
-    diff = side1.scale * side1.base_twice - side2.scale * side2.base_twice
-    shift1, shift2 = max(diff, 0), max(-diff, 0)
-    pairs: list[CounterexamplePair] = []
+    # A free value y of a side stands for scale * (twice mu_0) = base + unit * y,
+    # so with scales (2, 1) a match is mu_2 = 2 mu_1.  The two sides of a class
+    # count in one unit (a side without coins has unit 0 and only y = 0), and a
+    # side-2 value y lines up with the side-1 value y + off.
+    unit = side1.unit or side2.unit or 1
+    if side2.unit not in (0, unit):
+        raise VerificationError(f"search sides count in units {side1.unit} and {side2.unit}")
+    off, rem = divmod(side2.scale * side2.base_twice - side1.scale * side1.base_twice, unit)
+    if rem:
+        return []  # no value is congruent to both bases
 
+    def groups(side: _Side, d: int, lo: int, hi: int, wanted: int) -> dict[int, list]:
+        by_value: dict[int, list[AbelianPGroup]] = {}
+        for y, t in side.witnesses(d, lo, hi, wanted):
+            by_value.setdefault(y, []).append(side.group_of(t))
+        return by_value
+
+    pairs: list[CounterexamplePair] = []
     delta_lo = max(side1.delta0, side2.delta0 - delta_offset)
     for delta1 in range(delta_lo, delta_max + 1):
         d1 = delta1 - side1.delta0
         delta2 = delta1 + delta_offset
         d2 = delta2 - side2.delta0
-        # The envelope test stays although the AND below is exact: where the
-        # value intervals are disjoint it skips both shifts and the AND of the
-        # reach sets, ~2 M bits wide at (2, 8, 7, 8220, mixed), where it holds
-        # on 8 184 of the 8 185 deficiencies (167 of 331 at (3, 5, 4, 350)).
+        # Only the overlap of the two envelopes can match, so reach and the
+        # witness walk run on that window alone; where it is empty the
+        # deficiency costs two table reads (8 184 of the 8 185 deficiencies
+        # at (2, 8, 7, 8220, mixed), 167 of 331 at (3, 5, 4, 350)).
         iv1 = side1.interval(d1)
         iv2 = side2.interval(d2)
         if iv1 is None or iv2 is None:
             continue
-        if max(iv1[0], iv2[0]) > min(iv1[1], iv2[1]):
+        lo, hi = max(iv1[0], iv2[0] + off), min(iv1[1], iv2[1] + off)
+        if lo > hi:
+            continue
+        matched = side1.reach(d1, lo, hi)
+        if not shared:
+            matched &= side2.reach(d2, lo - off, hi - off)
+        if not matched:
             continue
 
-        matched = (side1.reach(d1) << shift1) & (side2.reach(d2) << shift2)
+        groups1 = groups(side1, d1, lo, hi, matched)
+        groups2 = groups1 if shared else groups(side2, d2, lo - off, hi - off, matched)
         while matched:
             low = matched & -matched
             matched ^= low
-            pos = low.bit_length() - 1
-            x1, x2 = pos - shift1, pos - shift2
-            mu1, mu2 = side1.mu_of(x1), side2.mu_of(x2)
-            groups1 = [side1.group_of(t) for t in side1.witnesses(d1, x1)]
-            groups2 = groups1 if shared else [side2.group_of(t) for t in side2.witnesses(d2, x2)]
-            for g1 in groups1:
-                for g2 in groups2:
+            y1 = lo + low.bit_length() - 1
+            y2 = y1 - off
+            mu1, mu2 = side1.mu_of(y1), side2.mu_of(y2)
+            for g1 in groups1[y1]:
+                for g2 in groups2[y2]:
                     if not shared or g1.r < g2.r:
                         pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
     return pairs

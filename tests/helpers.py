@@ -10,6 +10,8 @@ from __future__ import annotations
 from itertools import product
 
 from genus_spectrum import (
+    RELATION_MIXED,
+    RELATION_SAME,
     AbelianPGroup,
     HalfInt,
     PDatum,
@@ -17,6 +19,7 @@ from genus_spectrum import (
     gamma,
     hull,
     is_admissible,
+    mu0,
     reduced_genus,
     wp_eval,
 )
@@ -128,3 +131,99 @@ def brute_min_reduced(G: AbelianPGroup) -> tuple[HalfInt, tuple[PDatum, ...]]:
             witnesses.append(d)
     assert best is not None
     return best, tuple(witnesses)
+
+
+def _bitset_side(p: int, e: int, top_floor: int, pin_top: bool, scale: int, delta_max: int):
+    """One side of a search class: floors, their deficiency, the scaled base
+    scale * (twice mu_0 of the floor group, by the block route), the coins
+    (i, scale * c_i) and the full-width reach slices: bit x of slice d is set
+    when some t >= 0 with sum(i t_i) = d has sum(scale c_i t_i) = x."""
+    floors = (p - 1,) * (e - 1) + (top_floor,)
+    floor_group = AbelianPGroup(p, floors)
+    base = scale * mu0(floor_group).mu0.twice
+    coins = [
+        (i, scale * c) for i, c in enumerate(weights(p, e), start=1) if not (pin_top and i == e)
+    ]
+    slices = [1]
+    for d in range(1, max(delta_max - floor_group.delta, 0) + 1):
+        cur = 0
+        for w, v in coins:
+            if d >= w:
+                cur |= slices[d - w] << v
+        slices.append(cur)
+    return floors, floor_group.delta, base, coins, slices
+
+
+def free_vectors(coins, d: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every t >= 0 over the coins with weight d, keyed by its value."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+
+    def rec(j: int, rest: int, value: int, t: tuple[int, ...]) -> None:
+        if j == len(coins):
+            if rest == 0:
+                out.setdefault(value, []).append(t)
+            return
+        w, v = coins[j]
+        for k in range(rest // w + 1):
+            rec(j + 1, rest - k * w, value + k * v, t + (k,))
+
+    rec(0, d, 0, ())
+    return out
+
+
+def bitset_join(p: int, e: int, e_tilde: int, delta_max: int, relation: str | None = None):
+    """The varying-exponent search by full-width bitset slices per deficiency.
+
+    Returns (matched, pairs).  matched holds (floors, scale, deficiency,
+    scale * twice mu_0) for each side of every value both sides of a class
+    reach; pairs lists (delta1, delta2, r1, r2, mu1, mu2, relation) in the
+    order of search_counterexamples.  The classes and the p = 2 convention
+    are the search's; the join, the shifts and the witnesses are not.
+    """
+    top = max(p - 2, 1)
+    if p != 2:
+        classes = [((top, False, 1), (top, False, 1), 0, RELATION_SAME)]
+    else:
+        classes = [
+            ((2, False, 1), (2, False, 1), 0, RELATION_SAME),
+            ((1, True, 1), (1, True, 1), 0, RELATION_SAME),
+            ((2, False, 2), (1, True, 1), -1, RELATION_MIXED),
+        ]
+    matched: set[tuple] = set()
+    pairs: list[tuple] = []
+    for spec1, spec2, offset, label in classes:
+        if relation not in (None, label):
+            continue
+        shared = (e, spec1) == (e_tilde, spec2)
+        floors1, delta01, base1, coins1, slices1 = _bitset_side(p, e, *spec1, delta_max)
+        floors2, delta02, base2, coins2, slices2 = _bitset_side(p, e_tilde, *spec2, delta_max)
+        origin = min(base1, base2)
+        for delta1 in range(delta01, delta_max + 1):
+            delta2 = delta1 + offset
+            if not 0 <= delta2 - delta02 < len(slices2):
+                continue
+            both = (slices1[delta1 - delta01] << (base1 - origin)) & (
+                slices2[delta2 - delta02] << (base2 - origin)
+            )
+            if not both:
+                continue
+            vectors1 = free_vectors(coins1, delta1 - delta01)
+            vectors2 = free_vectors(coins2, delta2 - delta02)
+            for x in range(both.bit_length()):
+                if not both >> x & 1:
+                    continue
+                value = origin + x
+                matched.add((floors1, spec1[2], delta1, value))
+                matched.add((floors2, spec2[2], delta2, value))
+                # a pinned top takes no coin, so its t is one short and r_e
+                # keeps its floor
+                for t1 in vectors1[value - base1]:
+                    for t2 in vectors2[value - base2]:
+                        r1 = tuple(f + k for f, k in zip(floors1, t1 + (0,)))
+                        r2 = tuple(f + k for f, k in zip(floors2, t2 + (0,)))
+                        if not shared or r1 < r2:
+                            mu1 = HalfInt(value // spec1[2])
+                            mu2 = HalfInt(value // spec2[2])
+                            pairs.append((delta1, delta2, r1, r2, mu1, mu2, label))
+    pairs.sort(key=lambda q: (max(q[0], q[1]), q[2], q[3]))
+    return matched, pairs

@@ -24,6 +24,8 @@ from genus_spectrum import (
 )
 from genus_spectrum.conjecture import _Side
 
+from helpers import bitset_join, free_vectors
+
 
 def test_rho():
     assert rho(3) == (5, -7, 3)
@@ -208,21 +210,22 @@ def test_search_output_contract():
 def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeypatch):
     # wrap the side constructor and witness recovery the way bench/tracer.py does
     built: list[_Side] = []
-    asked: list[tuple[int, int, int]] = []
+    asked: list[tuple[int, int]] = []
     init, witnesses = _Side.__init__, _Side.witnesses
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_witnesses(self, d, value):
-        asked.append((id(self), d, value))
-        return witnesses(self, d, value)
+    def counting_witnesses(self, d, lo, hi, wanted):
+        asked.append((id(self), d))
+        return witnesses(self, d, lo, hi, wanted)
 
     monkeypatch.setattr(_Side, "__init__", counting_init)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
 
     assert len(search_counterexamples(2, 5, 4, 60)) == 65
+    # one witness walk per side and deficiency, whatever the matched values
     assert asked and len(asked) == len(set(asked))
     built.clear()
     search_counterexamples(2, 4, 4, 40)
@@ -237,6 +240,12 @@ def test_varying_exponent_minimality_p3():
     assert [(q.g1.encode(), q.g2.encode(), q.delta) for q in pairs] == [
         ("3:2,2,2,3,34", "3:177,3,2,1", 189)
     ]
+
+
+def test_varying_exponent_minimality_p5():
+    # the p=5 member of the series is deficiency-minimal too
+    pairs = search_counterexamples(5, 7, 6, 1119)
+    assert [(q.g1, q.g2, q.delta) for q in pairs] == [(*varying_exponent_pair(5), 1119)]
 
 
 def test_varying_exponent_pair():
@@ -257,13 +266,81 @@ def test_varying_exponent_pair():
 
 def test_witness_recovery_leaves_no_reference_cycles():
     side = _Side(3, 5, 1, False, 1, 60)
-    targets = [(d, side.reach(d).bit_length() - 1) for d in range(side.dmax + 1) if side.reach(d)]
+    targets = []
+    for d in range(side.dmax + 1):
+        lo, hi = side.interval(d)
+        bits = side.reach(d, lo, hi)
+        if bits:
+            targets.append((d, lo, hi, bits))
     gc.collect()
     gc.disable()
     try:
-        found = [side.witnesses(d, v) for d, v in targets[:5]]
+        found = [side.witnesses(d, lo, hi, bits) for d, lo, hi, bits in targets[:5]]
         leaked = gc.collect()
     finally:
         gc.enable()
     assert len(found) == 5 and all(found)
     assert leaked == 0
+
+
+def test_search_matches_bitset_join_reference(monkeypatch):
+    # the windowed join against the full-width bitset join of tests/helpers.py:
+    # the same matched (deficiency, value) on each side and the same pairs
+    seen: set[tuple] = set()
+    witnesses = _Side.witnesses
+
+    def recording_witnesses(self, d, lo, hi, wanted):
+        base = self.scale * self.base_twice
+        for b in range(wanted.bit_length()):
+            if wanted >> b & 1:
+                seen.add((self.floors, self.scale, self.delta0 + d, base + self.unit * (lo + b)))
+        return witnesses(self, d, lo, hi, wanted)
+
+    monkeypatch.setattr(_Side, "witnesses", recording_witnesses)
+    total = 0
+    for p, dmax in ((2, 40), (3, 60), (5, 100)):
+        relations = (None, RELATION_SAME, RELATION_MIXED) if p == 2 else (None, RELATION_SAME)
+        for e in range(1, 4):
+            for et in range(1, e + 1):
+                for relation in relations:
+                    seen.clear()
+                    pairs = search_counterexamples(p, e, et, dmax, relation)
+                    matched, expected = bitset_join(p, e, et, dmax, relation)
+                    got = [
+                        (q.delta1, q.delta2, q.g1.r, q.g2.r, q.mu1, q.mu2, q.relation)
+                        for q in pairs
+                    ]
+                    assert seen == matched, (p, e, et, relation)
+                    assert got == expected, (p, e, et, relation)
+                    total += len(got)
+    assert total > 1000
+
+
+def test_witnesses_return_exactly_the_wanted_values():
+    # every other reachable value is wanted; the walk must return all vectors
+    # of those values, in ascending order, and none of the others
+    side = _Side(3, 4, 1, False, 1, 60)
+    checked = 0
+    for d in range(side.dmax + 1):
+        lo, hi = side.interval(d)
+        bits = side.reach(d, lo, hi)
+        reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
+        wanted = sum(1 << b for b in reached[::2])
+        expected = sorted(
+            (y, t)
+            for y, ts in free_vectors(side.coins, d).items()
+            if wanted >> (y - lo) & 1
+            for t in ts
+        )
+        found = side.witnesses(d, lo, hi, wanted)
+        assert [t for _, t in found] == sorted(t for _, t in found)
+        assert sorted(found) == expected, d
+        checked += len(found)
+    assert checked > 100
+
+
+def test_search_walks_a_long_coin_chain_without_recursion():
+    # 1 200 coins: the memo and the witness walk are one key deep per coin,
+    # past the interpreter's recursion limit
+    floor = AbelianPGroup(3, (2,) * 1199 + (1,))
+    assert search_counterexamples(3, 1200, 1200, floor.delta) == []
