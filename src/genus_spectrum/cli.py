@@ -308,6 +308,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # the library's integers are unbounded, so printing them must be too
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

@@ -154,6 +154,38 @@ def _bitset_side(p: int, e: int, top_floor: int, pin_top: bool, scale: int, delt
     return floors, floor_group.delta, base, coins, slices
 
 
+def envelope_bounds(coins, j: int, d: int) -> tuple[int, int] | None:
+    """(min, max) value of the vectors of weight d over coins[j:], or None
+    when none has weight d, by closed form instead of a table.
+
+    coins[j:] are (weight, value) with consecutive weights a..b and values
+    proportional to c_i = p^e - p^(e-i), concave in i with c_0 = 0.  So at a
+    fixed weight, more coins and more even coins give a larger value: the max
+    takes kmax = floor(d/a) coins as evenly as possible, and the min takes
+    kmin = ceil(d/b) coins spread as far as possible: b's, one middle coin,
+    then a's.
+    """
+    suffix = coins[j:]
+    if d == 0:
+        return 0, 0
+    if not suffix:
+        return None
+    value = dict(suffix)
+    a, b = suffix[0][0], suffix[-1][0]
+    kmax, kmin = d // a, -(-d // b)
+    if kmin > kmax:
+        return None
+    q, r = divmod(d, kmax)
+    hi = (kmax - r) * value[q] + (r * value[q + 1] if r else 0)
+    if a == b:
+        return kmin * value[a], hi
+    full, extra = divmod(d - kmin * a, b - a)
+    if full == kmin:
+        return kmin * value[b], hi
+    lo = full * value[b] + value[a + extra] + (kmin - full - 1) * value[a]
+    return lo, hi
+
+
 def free_vectors(coins, d: int) -> dict[int, list[tuple[int, ...]]]:
     """Every t >= 0 over the coins with weight d, keyed by its value."""
     out: dict[int, list[tuple[int, ...]]] = {}

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -188,6 +189,29 @@ def test_large_prime_is_decided_quickly():
     )
     assert proc.returncode == 0
     assert "N = 1" in proc.stdout
+
+
+def test_integers_past_the_default_digit_limit_print_without_a_traceback():
+    # Python refuses to print an int of more than 4 300 digits by default;
+    # the library's integers are unbounded, so the CLI lifts that limit
+    invariants = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "invariants", "2:20000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert invariants.returncode == 0, invariants.stderr
+    assert "Traceback" not in invariants.stderr
+    assert max(len(n) for n in re.findall(r"\d+", invariants.stdout)) > 4300
+    construct = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "construct", "--p", "2", "--e", "100000", "--m", "5"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert construct.returncode == 1
+    assert "Traceback" not in construct.stderr
+    assert construct.stderr.startswith("error: ") and construct.stderr.count("\n") == 1
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,5 +1,6 @@
 import gc
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -24,7 +25,7 @@ from genus_spectrum import (
 )
 from genus_spectrum.conjecture import _Side
 
-from helpers import bitset_join, free_vectors
+from helpers import bitset_join, envelope_bounds, free_vectors, weights
 
 
 def test_rho():
@@ -344,3 +345,29 @@ def test_search_walks_a_long_coin_chain_without_recursion():
     # past the interpreter's recursion limit
     floor = AbelianPGroup(3, (2,) * 1199 + (1,))
     assert search_counterexamples(3, 1200, 1200, floor.delta) == []
+
+
+def test_envelope_tables_match_the_closed_form():
+    # every row and weight of the smin/smax tables against helpers' closed
+    # form, on coins rebuilt from the reference weights; delta_max below the
+    # floor deficiency leaves the single weight 0
+    checked = 0
+    for p in (2, 3, 5, 7):
+        specs = [(2, False, 1), (1, True, 1), (2, False, 2)] if p == 2 else [(max(p - 2, 1), False, 1)]
+        for e in range(1, 7):
+            for top, pin, scale in specs:
+                floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
+                for delta_max in (floor.delta - 1, floor.delta + 120):
+                    side = _Side(p, e, top, pin, scale, delta_max)
+                    values = [scale * c for c in weights(p, e)][: e - 1 if pin else e]
+                    unit = gcd(*values)
+                    coins = [(i, v // unit) for i, v in enumerate(values, start=1)]
+                    assert (side.delta0, side.unit, side.coins) == (floor.delta, unit, coins)
+                    assert side.dmax == max(delta_max - floor.delta, 0)
+                    for j in range(len(coins) + 1):
+                        for d in range(side.dmax + 1):
+                            lo, hi = side.smin[j][d], side.smax[j][d]
+                            got = None if lo is None else (lo, hi)
+                            assert got == envelope_bounds(coins, j, d), (p, e, top, pin, j, d)
+                            checked += 1
+    assert checked > 15000
