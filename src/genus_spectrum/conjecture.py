@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .group import AbelianPGroup, is_prime
+from .group import AbelianPGroup, is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
 from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_min_large
@@ -85,7 +85,7 @@ def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     if not has_large_invariants(G):
         raise UnsupportedError(f"{G} does not satisfy the large-invariant hypothesis")
     pd = G.p_delta
-    return genus_of(pd, reduced_min_large(G)), pd // G.epsilon
+    return genus_of(pd, reduced_min_large(G)), kulkarni_n(pd, G.epsilon)
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
@@ -152,24 +152,25 @@ class _Side:
     deficiency delta0 and its doubled reduced minimum base_twice.  A free
     vector adds sum(i t_i) to the deficiency and sum(c_i t_i) to twice mu_0,
     with c_i = p^e - p^{e-i}.  `scale` pre-multiplies the values so that
-    doubled-mu relations become plain translations.
+    doubled-mu relations become plain translations.  For p = 2 a top floor
+    of 1 pins r_e = 1, so coin e is left out.  The caller chooses the window
+    of values, inside the envelope; the memo never keeps a root (`_window`).
     """
 
-    def __init__(self, p: int, e: int, top_floor: int, pin_top: bool, scale: int, delta_max: int):
+    def __init__(self, p: int, e: int, top_floor: int, scale: int, delta_max: int):
         self.p = p
         self.scale = scale
         self.floors = tuple([p - 1] * (e - 1) + [top_floor])
         floor_group = AbelianPGroup(p, self.floors)
         self.delta0 = floor_group.delta
         self.base_twice = reduced_min_large(floor_group).twice
-        weights = period_weights(p, e)
-        self.coin_index = [i for i in range(1, e + 1) if not (pin_top and i == e)]
-        values = [scale * weights[i - 1] for i in self.coin_index]
+        pinned = p == 2 and top_floor == 1
+        values = [scale * c for c in period_weights(p, e)[: e - 1 if pinned else e]]
         # every free value is a multiple of unit (0 without coins), so the
         # envelopes, windows and memo count in units: p - 1 times fewer bits
-        # for odd p
+        # for odd p.  Coin i has weight i.
         self.unit = gcd(*values)
-        self.coins = [(i, v // self.unit) for i, v in zip(self.coin_index, values)]
+        self.coins = [(i, v // self.unit) for i, v in enumerate(values, start=1)]
         self.dmax = max(delta_max - self.delta0, 0)
 
         # Exact value envelopes per remaining-coin suffix; index 0 = all coins,
@@ -204,21 +205,6 @@ class _Side:
         # what coins j.. reach at weight rd in [lo, hi], see _window
         self._memo: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
-    def interval(self, d: int) -> tuple[int, int] | None:
-        """Envelope of the free values, in units, at free weight d."""
-        if d < 0 or d > self.dmax or self.smin[0][d] is None:
-            return None
-        return self.smin[0][d], self.smax[0][d]
-
-    def _root(self, d: int, lo: int, hi: int) -> tuple[int, int, int, int] | None:
-        """Memo key of all coins at weight d on the values [lo, hi], the
-        window clipped to the envelope; None where it is empty."""
-        iv = self.interval(d)
-        if iv is None:
-            return None
-        lo, hi = max(lo, iv[0]), min(hi, iv[1])
-        return (0, d, lo, hi) if lo <= hi else None
-
     def _kids(
         self, key: tuple[int, int, int, int], ks: tuple[int, ...] | None = None
     ) -> list[tuple[int, tuple, int]]:
@@ -237,13 +223,17 @@ class _Side:
                 out.append((k, (j + 1, nd, kid_lo, min(hi - kv, hi_row[nd])), kid_lo - lo + kv))
         return out
 
-    def _window(self, key: tuple[int, int, int, int]) -> int:
-        """Bits, relative to its lo, of the values in key's window that coins
-        j.. reach at weight rd.
+    def _window(self, key: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
+        """(bits, live counts) of the root `key` (all coins, weight d): the
+        bits, relative to its lo, of the values in its window that the coins
+        reach, and the counts k of the first coin whose child has any bit
+        set.
 
-        The memo keeps, per key, these bits and the counts k whose child has
-        any bit set.  It is filled on an explicit stack, since a chain of
-        keys is as long as the coin list.
+        The memo holds the same per key.  It is filled on an explicit stack,
+        since a chain of keys is as long as the coin list.  The root leaves
+        the memo: it is never a child, so only the same deficiency's witness
+        walk asks for it again, rebuilding it from its memoised children, and
+        roots are the widest windows (30 of 75 MB of memo at (7, 9, 8, 3725)).
         """
         memo, n = self._memo, len(self.coins)
         pending: dict[tuple, list] = {}
@@ -276,59 +266,51 @@ class _Side:
                     live.append(k)
             memo[node] = (bits, tuple(live))
             todo.pop()
-        return memo[key][0]
+        return memo.pop(key)
 
     def reach(self, d: int, lo: int, hi: int) -> int:
         """Bitset, relative to lo, of the free values in [lo, hi] (in units)
-        that the coins reach at exact weight d."""
-        key = self._root(d, lo, hi)
-        if key is None:
-            return 0
-        bits = self._window(key)
-        # A root key (all coins, weight d) is never a child, so only the same
-        # deficiency's witness walk reads it again, and that rebuilds it from
-        # its memoised children.  Roots are the widest windows: keeping them
-        # would hold 30 of the 75 MB of memo at (7, 9, 8, 3725).
-        del self._memo[key]
-        return bits << (key[2] - lo)
+        that the coins reach at exact weight d.  The window lies inside the
+        envelope at d."""
+        return self._window((0, d, lo, hi))[0]
 
     def witnesses(
         self, d: int, lo: int, hi: int, wanted: int
     ) -> list[tuple[int, tuple[int, ...]]]:
         """(value, t) for every free vector t of weight d whose value, in
         units, lies in [lo, hi] and has its bit, relative to lo, set in
-        `wanted`.
+        `wanted`.  The window lies inside the envelope at d.
 
         The walk carries the mask of still-wanted values and ANDs it with
         each child's memoised window, so every node it visits lies on a path
         to an output.  Vectors come out in ascending order.
         """
-        key = self._root(d, lo, hi)
-        if key is None:
-            return []
         memo, coins, n = self._memo, self.coins, len(self.coins)
         out: list[tuple[int, tuple[int, ...]]] = []
-        # (key, wanted bits relative to its lo, value so far, prefix of t);
-        # children are pushed in reverse so t comes out ascending
-        mask = (wanted >> (key[2] - lo)) & self._window(key)
-        todo = [(key, mask, 0, ())] if mask else []
+        # (key, its live counts, wanted bits relative to its lo, value so
+        # far, prefix of t); children are pushed in reverse so t comes out
+        # ascending
+        key = (0, d, lo, hi)
+        bits, live = self._window(key)
+        mask = wanted & bits
+        todo = [(key, live, mask, 0, ())] if mask else []
         while todo:
-            node, mask, acc, t = todo.pop()
+            node, live, mask, acc, t = todo.pop()
             j = node[0]
             if j == n:
                 out.append((acc, t))
                 continue
             v = coins[j][1]
-            for k, kid, shift in reversed(self._kids(node, memo[node][1])):
-                sub = (mask >> shift) & memo[kid][0]
+            for k, kid, shift in reversed(self._kids(node, live)):
+                kid_bits, kid_live = memo[kid]
+                sub = (mask >> shift) & kid_bits
                 if sub:
-                    todo.append((kid, sub, acc + k * v, t + (k,)))
-        del self._memo[key]  # as in reach
+                    todo.append((kid, kid_live, sub, acc + k * v, t + (k,)))
         return out
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
         r = list(self.floors)
-        for i, k in zip(self.coin_index, t):
+        for (i, _), k in zip(self.coins, t):
             r[i - 1] += k
         return AbelianPGroup(self.p, tuple(r))
 
@@ -389,16 +371,13 @@ def _search_class(
         if not matched:
             continue
 
+        # the witness walks return the matched values and no others
         groups1 = groups(side1, d1, lo, hi, matched)
         groups2 = groups1 if shared else groups(side2, d2, lo - off, hi - off, matched)
-        while matched:
-            low = matched & -matched
-            matched ^= low
-            y1 = lo + low.bit_length() - 1
-            y2 = y1 - off
-            mu1, mu2 = side1.mu_of(y1), side2.mu_of(y2)
-            for g1 in groups1[y1]:
-                for g2 in groups2[y2]:
+        for y1, gs1 in groups1.items():
+            mu1, mu2 = side1.mu_of(y1), side2.mu_of(y1 - off)
+            for g1 in gs1:
+                for g2 in groups2[y1 - off]:
                     if not shared or g1.r < g2.r:
                         pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
     return pairs
@@ -430,28 +409,23 @@ def search_counterexamples(
     if relation == RELATION_MIXED and p != 2:
         raise InputError("the mixed-lattice relation exists only for p = 2")
 
-    classes: list[tuple[_Side, _Side, int, str]] = []
-
-    def sides(spec1: tuple[int, bool, int], spec2: tuple[int, bool, int]) -> tuple[_Side, _Side]:
-        # spec = (top floor, pinned top, scale); an equal-exponent class is one side
-        side1 = _Side(p, e, *spec1, delta_max)
-        if (e, spec1) == (e_tilde, spec2):
-            return side1, side1
-        return side1, _Side(p, e_tilde, *spec2, delta_max)
-
-    if p != 2:
-        if relation in (None, RELATION_SAME):
-            top = max(p - 2, 1)
-            classes.append((*sides((top, False, 1), (top, False, 1)), 0, RELATION_SAME))
-    else:
-        if relation in (None, RELATION_SAME):
-            classes.append((*sides((2, False, 1), (2, False, 1)), 0, RELATION_SAME))
-            classes.append((*sides((1, True, 1), (1, True, 1)), 0, RELATION_SAME))
-        if relation in (None, RELATION_MIXED):
-            classes.append((*sides((2, False, 2), (1, True, 1)), -1, RELATION_MIXED))
+    # The relation classes, one row each: (relation, (top floor, scale) of
+    # the exponent-p^e side, the same for the p^e_tilde side, deficiency
+    # offset).  A p = 2 top floor of 1 is the pinned single top summand, and
+    # scale 2 on the mixed class's first side doubles its mu_0.
+    table = [
+        (RELATION_SAME, (2, 1), (2, 1), 0),
+        (RELATION_SAME, (1, 1), (1, 1), 0),
+        (RELATION_MIXED, (2, 2), (1, 1), -1),
+    ] if p == 2 else [(RELATION_SAME, (p - 2, 1), (p - 2, 1), 0)]
 
     pairs: list[CounterexamplePair] = []
-    for side1, side2, offset, label in classes:
+    for label, spec1, spec2, offset in table:
+        if relation not in (None, label):
+            continue
+        # an equal-exponent class is one side
+        side1 = _Side(p, e, *spec1, delta_max)
+        side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2, delta_max)
         pairs.extend(_search_class(side1, side2, offset, delta_max, label))
 
     # every side's floors are large, so spectra compare by genus progression,

@@ -171,6 +171,14 @@ def e_prime(G: AbelianPGroup) -> int:
     return 0
 
 
+def kulkarni_n(p_delta: int, epsilon: int) -> int:
+    """The Kulkarni invariant N = p^delta / epsilon, the genus step."""
+    n, rem = divmod(p_delta, epsilon)
+    if rem:
+        raise VerificationError(f"epsilon = {epsilon} does not divide p^delta = {p_delta}")
+    return n
+
+
 @dataclass(frozen=True)
 class GroupInvariants:
     s: tuple[int, ...]
@@ -183,14 +191,11 @@ class GroupInvariants:
 
 def invariants(G: AbelianPGroup) -> GroupInvariants:
     eps = G.epsilon
-    n = G.p_delta
-    if n % eps != 0:
-        raise VerificationError(f"epsilon = {eps} does not divide p^delta = {n} for {G}")
     return GroupInvariants(
         s=G.s,
         e_prime=e_prime(G),
         delta=G.delta,
         epsilon=eps,
-        kulkarni_n=n // eps,
+        kulkarni_n=kulkarni_n(G.p_delta, eps),
         log_order=G.log_order,
     )

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
-from .group import AbelianPGroup, e_prime
+from .group import AbelianPGroup, e_prime, kulkarni_n
 from .halfint import HalfInt
 from .mainline import _progressions, envelope, hull, wp_eval
 from .mingenus import mu0
@@ -71,21 +72,20 @@ class SpectrumDescriptor:
             return False
         return self.epsilon == 2 or v.twice % 2 == 0
 
+    @cached_property
+    def _gaps_twice(self) -> frozenset[int]:
+        return frozenset(g.twice for g in self.gaps_reduced)
+
     def contains_reduced(self, v: HalfInt | int) -> bool:
         v = HalfInt.coerce(v)
         if not self.in_lattice(v) or v < self.min_reduced:
             return False
-        return v >= self.stable_reduced or v not in self.gaps_reduced
+        return v >= self.stable_reduced or v.twice not in self._gaps_twice
 
     def reduced_values_up_to(self, bound: HalfInt | int) -> tuple[HalfInt, ...]:
-        bound = HalfInt.coerce(bound)
-        out = []
-        v = self.min_reduced
-        while v <= bound:
-            if self.contains_reduced(v):
-                out.append(v)
-            v = v + self.step
-        return tuple(out)
+        gaps = self._gaps_twice
+        span = range(self.min_reduced.twice, HalfInt.coerce(bound).twice + 1, self.step.twice)
+        return tuple(HalfInt(t) for t in span if t not in gaps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,7 +316,7 @@ def mu0_plus(G: AbelianPGroup) -> HalfInt:
         return HalfInt(period_weights(p, e)[ep - 1] - 2)
 
     desc = full_spectrum(G)
-    v = desc.step
+    v = max(desc.min_reduced, desc.step)
     while not desc.contains_reduced(v):
         v = v + desc.step
     return v
@@ -342,15 +342,14 @@ class GenusView:
 
 def genus_view(G: AbelianPGroup, desc: SpectrumDescriptor) -> GenusView:
     pd = G.p_delta
-    if pd % desc.epsilon != 0:
-        raise VerificationError(f"epsilon = {desc.epsilon} does not divide p^delta = {pd} for {G}")
-    ambient = pd == desc.epsilon
+    step = kulkarni_n(pd, desc.epsilon)
+    ambient = step == 1
     min_genus = genus_of(pd, desc.min_reduced)
     if ambient and min_genus != 0:
         raise VerificationError(f"{G} has ambient lattice N_0 but minimum genus {min_genus}")
     return GenusView(
         min_genus=min_genus,
-        step=pd // desc.epsilon,
+        step=step,
         stable_genus=genus_of(pd, desc.stable_reduced),
         gap_genera=tuple(genus_of(pd, v) for v in desc.gaps_reduced),
         ambient_is_n0=ambient,

@@ -266,10 +266,10 @@ def test_varying_exponent_pair():
 
 
 def test_witness_recovery_leaves_no_reference_cycles():
-    side = _Side(3, 5, 1, False, 1, 60)
+    side = _Side(3, 5, 1, 1, 60)
     targets = []
     for d in range(side.dmax + 1):
-        lo, hi = side.interval(d)
+        lo, hi = side.smin[0][d], side.smax[0][d]
         bits = side.reach(d, lo, hi)
         if bits:
             targets.append((d, lo, hi, bits))
@@ -320,10 +320,10 @@ def test_search_matches_bitset_join_reference(monkeypatch):
 def test_witnesses_return_exactly_the_wanted_values():
     # every other reachable value is wanted; the walk must return all vectors
     # of those values, in ascending order, and none of the others
-    side = _Side(3, 4, 1, False, 1, 60)
+    side = _Side(3, 4, 1, 1, 60)
     checked = 0
     for d in range(side.dmax + 1):
-        lo, hi = side.interval(d)
+        lo, hi = side.smin[0][d], side.smax[0][d]
         bits = side.reach(d, lo, hi)
         reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
         wanted = sum(1 << b for b in reached[::2])
@@ -350,15 +350,17 @@ def test_search_walks_a_long_coin_chain_without_recursion():
 def test_envelope_tables_match_the_closed_form():
     # every row and weight of the smin/smax tables against helpers' closed
     # form, on coins rebuilt from the reference weights; delta_max below the
-    # floor deficiency leaves the single weight 0
+    # floor deficiency leaves the single weight 0.  The side derives its
+    # pinned top from p and the top floor, the spec lists it explicitly.
     checked = 0
     for p in (2, 3, 5, 7):
         specs = [(2, False, 1), (1, True, 1), (2, False, 2)] if p == 2 else [(max(p - 2, 1), False, 1)]
         for e in range(1, 7):
             for top, pin, scale in specs:
+                assert pin == (p == 2 and top == 1)
                 floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
                 for delta_max in (floor.delta - 1, floor.delta + 120):
-                    side = _Side(p, e, top, pin, scale, delta_max)
+                    side = _Side(p, e, top, scale, delta_max)
                     values = [scale * c for c in weights(p, e)][: e - 1 if pin else e]
                     unit = gcd(*values)
                     coins = [(i, v // unit) for i, v in enumerate(values, start=1)]

@@ -8,12 +8,14 @@ from genus_spectrum import (
     InvalidInvariantsError,
     InvalidPrimeError,
     OutOfRangeError,
+    VerificationError,
     e_prime,
     invariants,
     is_prime,
     new_group,
     parse_group,
 )
+from genus_spectrum.group import kulkarni_n
 from helpers import all_groups
 
 
@@ -56,6 +58,12 @@ def test_invariants_examples():
         inv = invariants(new_group(p, (0,) * (e - 1) + (1,)))
         assert inv.s == (2,) * e + (1,)
         assert (inv.e_prime, inv.delta, inv.epsilon, inv.kulkarni_n) == (0, 0, 1, 1)
+
+
+def test_kulkarni_n_checks_divisibility():
+    assert kulkarni_n(8, 2) == 4 and kulkarni_n(9, 1) == 9
+    with pytest.raises(VerificationError):
+        kulkarni_n(9, 2)
 
 
 def test_e_prime_examples():

@@ -31,3 +31,29 @@ def test_p_delta_is_computed_only_in_group():
             and n.right.attr == "delta"
         ]
     assert found == []
+
+
+def test_kulkarni_n_is_computed_only_in_group():
+    # N = p^delta / epsilon and its divisibility check live in group.kulkarni_n;
+    # only the lattice's constant steps (2 // epsilon) divide elsewhere
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "group.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp)
+            and isinstance(n.op, (ast.FloorDiv, ast.Mod))
+            and isinstance(n.right, ast.Attribute)
+            and n.right.attr == "epsilon"
+            and not _is_constant(n.left)
+        ]
+    assert found == []
+
+
+def _is_constant(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant)

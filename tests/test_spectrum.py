@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
 from genus_spectrum import (
     AbelianPGroup,
     HalfInt,
+    InputError,
     OutOfRangeError,
     SmallClass,
+    SpectrumDescriptor,
     UnsupportedError,
     classify_small,
     closed_form_spectrum,
@@ -87,6 +91,43 @@ def test_oracle_far_beyond_the_scan_bound():
     assert oracle_reduced_spectrum(G, 20000) == want
     G = parse_group("2:0,0,0,0,0,0,0,1")
     assert oracle_reduced_spectrum(G, 3000) == full_spectrum(G).reduced_values_up_to(3000)
+    # 17 268 gaps: the descriptor's membership must not scan them per value
+    G = parse_group("13:0,0,1")
+    d = full_spectrum(G)
+    assert oracle_reduced_spectrum(G, d.verified_bound) == d.reduced_values_up_to(d.verified_bound)
+
+
+def test_descriptor_constructor_checks():
+    # 0, 1, 3, 4 and on: epsilon = 1, minimum 0, stable 3, gap 2
+    good = dict(
+        epsilon=1,
+        min_reduced=HalfInt.of(0),
+        stable_reduced=HalfInt.of(3),
+        gaps_reduced=(HalfInt.of(2),),
+        verified_bound=None,
+    )
+    d = SpectrumDescriptor(**good)
+    assert d.reduced_values_up_to(5) == tuple(map(HalfInt.of, (0, 1, 3, 4, 5)))
+    for change in (
+        dict(epsilon=3),
+        dict(min_reduced=hi(1)),  # 1/2 is off the integer lattice
+        dict(min_reduced=HalfInt.of(-2)),  # below the lattice minimum -1
+        dict(epsilon=2, min_reduced=hi(-3)),  # below the lattice minimum -1/2
+        dict(stable_reduced=hi(7)),
+        dict(gaps_reduced=(HalfInt.of(2), hi(3))),
+        dict(gaps_reduced=(HalfInt.of(0),)),  # at the minimum
+        dict(gaps_reduced=(HalfInt.of(3),)),  # at the stable value
+        dict(gaps_reduced=(HalfInt.of(-1),)),  # below the minimum
+        dict(gaps_reduced=(HalfInt.of(4),)),  # above the stable value
+    ):
+        with pytest.raises(InputError):
+            SpectrumDescriptor(**{**good, **change})
+
+    # membership follows a replaced gap list, not one cached from the original
+    assert not d.contains_reduced(2)
+    moved = dataclasses.replace(d, gaps_reduced=(HalfInt.of(1),))
+    assert moved.contains_reduced(2) and not moved.contains_reduced(1)
+    assert moved.reduced_values_up_to(5) == tuple(map(HalfInt.of, (0, 2, 3, 4, 5)))
 
 
 def test_full_spectrum_anchors():
