@@ -289,15 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    threads = os.environ.get("GENUS_SPECTRUM_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: GENUS_SPECTRUM_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -89,21 +89,8 @@ def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
-    """Exact spectrum equality.
-
-    Large-invariant groups compare by their genus progressions; otherwise
-    the verified spectrum descriptors are compared at the genus level.
-    """
-    if has_large_invariants(g1) and has_large_invariants(g2):
-        return genus_progression(g1) == genus_progression(g2)
-    v1 = genus_view(g1, full_spectrum(g1))
-    v2 = genus_view(g2, full_spectrum(g2))
-    return (v1.min_genus, v1.step, v1.stable_genus, v1.gap_genera) == (
-        v2.min_genus,
-        v2.step,
-        v2.stable_genus,
-        v2.gap_genera,
-    )
+    """Exact spectrum equality: the spectrum descriptors agree at the genus level."""
+    return genus_view(g1, full_spectrum(g1)) == genus_view(g2, full_spectrum(g2))
 
 
 def varying_exponent_pair(p: int) -> tuple[AbelianPGroup, AbelianPGroup]:

@@ -28,13 +28,6 @@ from .errors import InputError
 class _Infinity:
     """Distinguished infinite value for the gap norm of length-1 sequences."""
 
-    _instance = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __gt__(self, other: object) -> bool:
         return not isinstance(other, _Infinity)
 
@@ -126,36 +119,37 @@ def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
 
     The innermost coordinate y_1 is unbounded above, so its values form one
     arithmetic progression; per (step, residue) only the least start is
-    kept.  A loop over y_i depends only on i, its step, the partial value and
-    the tail sum capped at floors[0].  Loops at level i never nest, so a loop
-    that reaches a state an earlier loop passed would repeat the rest of that
-    loop, and it stops.  With O(k floors[0] (bound - min v)) states for k
-    levels, the work grows linearly with the bound, not as a power of it.
+    kept.  Loops wait on one work list and each runs to its end once taken
+    off it, pushing the start of its child loop at every state.  A state
+    (i, step, partial value, tail sum capped at floors[0]) fixes the rest of
+    its loop and every child loop below it, so a loop that meets a state
+    another loop already passed stops: that loop has passed the rest and
+    pushed its children.  The passed states are therefore the same in any
+    order, and with O(k floors[0] (bound - min v)) of them for k levels the
+    work grows linearly with the bound, not as a power of it.
     """
     cap, levels = floors[0], len(coeffs)
     lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
     passed: set[int] = set()
-
-    def scan(i: int, v: int, cover: int, x: int, step: int) -> None:
+    work = list(starts)
+    while work:
+        i, v, cover, x, step = work.pop()
         c = coeffs[i - 1]
         v += c * x
         if i == 1:
             key = (c * step, v % (c * step))
             if v < lowest.get(key, bound + 1):
                 lowest[key] = v
-            return
+            continue
         while v <= bound:
             # (i, step, v, tail sum capped at floors[0]) packed into one int
             state = ((v * (cap + 1) + min(cover + x, cap)) * (levels + 1) + i) * 2 + step - 1
             if state in passed:
                 break
             passed.add(state)
-            scan(i - 1, v, cover + x, max(0, floors[i - 2] - cover - x), 1)
+            work.append((i - 1, v, cover + x, max(0, floors[i - 2] - cover - x), 1))
             x += step
             v += c * step
-
-    for start in starts:
-        scan(*start)
     return [(c, v) for (c, _), v in lowest.items()]
 
 

@@ -147,14 +147,6 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GENUS_SPECTRUM_THREADS", "zero")
-    assert run(["invariants", "2:1,1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("GENUS_SPECTRUM_THREADS", "2")
-    assert run(["invariants", "2:1,1"]) == 0
-
-
 def test_cli_is_a_thin_adapter(capsys):
     # the CLI must agree with the library on a shared vector of groups
     for enc in ("2:1,1", "3:2,9,1", "2:0,2", "5:0,0,1"):
@@ -212,6 +204,19 @@ def test_integers_past_the_default_digit_limit_print_without_a_traceback():
     assert construct.returncode == 1
     assert "Traceback" not in construct.stderr
     assert construct.stderr.startswith("error: ") and construct.stderr.count("\n") == 1
+
+
+def test_deep_exponent_prints_without_a_traceback():
+    group = "2:" + ",".join(["0"] * 1199 + ["1"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "oracle", group, "--bound", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("values = {-1,0}\n")
 
 
 def test_closed_pipe_exits_quietly():

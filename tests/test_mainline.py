@@ -67,6 +67,7 @@ def test_is_mainline_examples():
         assert is_mainline(3, (4, 2), 14 + k)
     assert not is_mainline(3, (4, 2), 13)
     assert not is_mainline(2, (2, 2), -1)
+    assert is_mainline(2, (0,) * 1200, 0) is True  # 1 200 loop levels, no recursion
     with pytest.raises(InputError):
         is_mainline(1, (2, 2), 5)
 

@@ -53,6 +53,31 @@ def test_kulkarni_n_is_computed_only_in_group():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # recursion depth grows with the input (one level per exponent index), so
+    # engines walk explicit work lists instead
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{n.lineno}"
+                    for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and _callee(n.func) == fn.name
+                ]
+    assert found == []
+
+
+def _callee(func: ast.expr) -> str | None:
+    # f(...) or, inside a method, self.f(...) and cls.f(...)
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
 def _is_constant(node: ast.expr) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand

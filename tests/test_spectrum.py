@@ -82,6 +82,9 @@ def test_oracle_against_dumb_enumerations():
 def test_oracle_huge_exponent_small_bound():
     # p^e = 1000003^2: the scan must not touch the range [-2 p^e, 2 bound]
     assert oracle_reduced_spectrum(parse_group("1000003:0,1"), 5) == (HalfInt.of(-1), hi(0))
+    # 1 200 loop levels: the enumeration must not recurse once per level
+    G = AbelianPGroup(2, (0,) * 1199 + (1,))
+    assert oracle_reduced_spectrum(G, 0) == (HalfInt.of(-1), hi(0))
 
 
 def test_oracle_far_beyond_the_scan_bound():
