@@ -16,8 +16,12 @@ produce equal-spectrum pairs:
   the overlap of the two envelopes is searched: each side computes, as a
   bitset over that window, the values it reaches, from a memo of
   (coin, remaining weight, window) states that serves every deficiency and
-  the witness recovery alike.  This keeps the search exhaustive for
-  deficiencies in the thousands, far beyond direct enumeration.
+  the witness recovery alike.  A state tries only the counts of its coin
+  that can meet its window: the later coins' least and greatest value per
+  weight bound every value below each count, and a count whose bounds miss
+  the window would fail the exact envelope test anyway.  This keeps the
+  search exhaustive for deficiencies in the thousands, far beyond direct
+  enumeration.
 
 For p = 2 the convention of the varying-exponent search is that the group of
 exponent p^e (the first one) has r_e >= 2, i.e. carries the half-integral
@@ -142,6 +146,8 @@ class _Side:
     doubled-mu relations become plain translations.  For p = 2 a top floor
     of 1 pins r_e = 1, so coin e is left out.  The caller chooses the window
     of values, inside the envelope; the memo never keeps a root (`_window`).
+    A memo state tries only the counts of its coin whose value-per-weight
+    bounds meet its window (`_counts`); the others have no child to keep.
     """
 
     def __init__(self, p: int, e: int, top_floor: int, scale: int, delta_max: int):
@@ -188,21 +194,58 @@ class _Side:
                     hi_row[d] = hi
             self.smin[j], self.smax[j] = lo_row, hi_row
 
+        # The least and the greatest value per weight of the coins after j, as
+        # (numerator, denominator) pairs; (0, 1) for both past the last coin.
+        self._ratios: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        a, b = None, (0, 1)
+        for w, v in reversed(self.coins):
+            self._ratios.append((a or (0, 1), b))
+            if a is None or v * a[1] < a[0] * w:
+                a = (v, w)
+            if v * b[1] > b[0] * w:
+                b = (v, w)
+        self._ratios.reverse()
+
         # (coin index j, remaining weight rd, lo, hi) -> (bits, live counts):
         # what coins j.. reach at weight rd in [lo, hi], see _window
         self._memo: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
+
+    def _counts(self, key: tuple[int, int, int, int]) -> range:
+        """The counts k of coin j whose child can meet the window [lo, hi].
+
+        With a and b the least and the greatest value per weight of the
+        coins after j, the child of count k has weight nd = rd - k w, and its
+        envelope plus k v lies in [k v + a nd, k v + b nd].  A count whose
+        interval misses [lo, hi] therefore fails the envelope test of
+        `_kids`, so the range keeps only k v + a nd <= hi and k v + b nd >=
+        lo.  Both are linear in k; where k's coefficient is not positive,
+        that end stays uncut.
+        """
+        j, rd, lo, hi = key
+        w, v = self.coins[j]
+        (an, ad), (bn, bd) = self._ratios[j]
+        k_lo, k_hi = 0, rd // w
+        slope = v * ad - an * w
+        if slope > 0:
+            k_hi = min(k_hi, (hi * ad - an * rd) // slope)
+        slope = v * bd - bn * w
+        if slope > 0:
+            k_lo = max(k_lo, -((bn * rd - lo * bd) // slope))
+        return range(k_lo, k_hi + 1)
 
     def _kids(
         self, key: tuple[int, int, int, int], ks: tuple[int, ...] | None = None
     ) -> list[tuple[int, tuple, int]]:
         """(count k of coin j, child key, shift) for each child whose window,
         clipped to its envelope, is not empty; child bit b is parent bit
-        b + shift.  `ks` limits the counts tried (default: all)."""
+        b + shift.  `ks` limits the counts tried; without it they are the
+        counts of `_counts`, which leaves out only children this test
+        rejects."""
         j, rd, lo, hi = key
         w, v = self.coins[j]
         lo_row, hi_row = self.smin[j + 1], self.smax[j + 1]
         out = []
-        for k in range(rd // w + 1) if ks is None else ks:
+        for k in self._counts(key) if ks is None else ks:
             nd, kv = rd - k * w, k * v
             env_lo = lo_row[nd]
             if env_lo is not None and env_lo + kv <= hi and lo <= hi_row[nd] + kv:

@@ -113,7 +113,8 @@ class AbelianPGroup:
 
     @property
     def p_delta(self) -> int:
-        """p^delta = |G| / exp(G); uncached, since caching gives each group a __dict__."""
+        """p^delta = |G| / exp(G), computed on each read: a cache would keep an
+        int of that size on every group, and the search holds thousands."""
         return self.p**self.delta
 
     @property

@@ -21,6 +21,7 @@ enumeration below the proven enveloping bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputError
 
@@ -155,8 +156,9 @@ def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
 
 def _mainline_progressions(p: int, t: IntSeq, bound: int) -> list[tuple[int, int]]:
     # wp(b) = sum(y_j * q_j) over y_j >= 0 with y_i + ... + y_e >= t_i
+    # q_j = wp(1^j 0^(e-j)) = q_(j-1) + p^(e-j)
     e = len(t)
-    q = [wp_eval(p, [1] * j + [0] * (e - j)) for j in range(1, e + 1)]
+    q = list(accumulate(p ** (e - j) for j in range(1, e + 1)))
     return _progressions(q, t, bound, [(e, 0, 0, t[-1], 1)])
 
 

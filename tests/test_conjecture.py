@@ -373,3 +373,50 @@ def test_envelope_tables_match_the_closed_form():
                             assert got == envelope_bounds(coins, j, d), (p, e, top, pin, j, d)
                             checked += 1
     assert checked > 15000
+
+
+def test_count_cut_keeps_every_child():
+    # the counts of _counts leave out only children the envelope test rejects:
+    # on every relation-table row (the pinned p = 2 side and the scale-2 side
+    # too), for root windows of several widths and every memo key below them
+    checked = 0
+    for p in (2, 3, 5, 7):
+        specs = [(2, 1), (1, 1), (2, 2)] if p == 2 else [(p - 2, 1)]
+        for e in range(1, 6):
+            for top, scale in specs:
+                floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
+                side = _Side(p, e, top, scale, floor.delta + 40)
+                n = len(side.coins)
+                roots = []
+                for d in range(side.dmax + 1):
+                    lo, hi = side.smin[0][d], side.smax[0][d]
+                    if lo is not None:
+                        third = (hi - lo) // 3
+                        roots += [(0, d, lo, hi), (0, d, lo + third, hi - third), (0, d, hi, hi)]
+                for key in roots:
+                    if n:
+                        side.reach(*key[1:])
+                for key in roots + list(side._memo):
+                    j, rd = key[:2]
+                    if j < n:
+                        every = tuple(range(rd // side.coins[j][0] + 1))
+                        assert side._kids(key) == side._kids(key, every), (p, e, top, scale, key)
+                        checked += 1
+    assert checked > 10000
+
+
+def test_count_cut_tries_few_counts_at_the_roots(monkeypatch):
+    # at (2, 8, 7, 8220, mixed) each root window is a few values wide; trying
+    # every count of coin 1 would take 8 000+ per root
+    tried = []
+    counts = _Side._counts
+
+    def recording_counts(self, key):
+        ks = counts(self, key)
+        if key[0] == 0:
+            tried.append(len(ks))
+        return ks
+
+    monkeypatch.setattr(_Side, "_counts", recording_counts)
+    assert len(search_counterexamples(2, 8, 7, 8220, RELATION_MIXED)) == 1
+    assert tried and sum(tried) < 100

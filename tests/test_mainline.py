@@ -125,6 +125,23 @@ def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatc
     assert not is_mainline(3, t, 54)  # the last gap, see mainline_profile
 
 
+def test_coefficients_are_the_values_of_leading_ones(monkeypatch):
+    # the engine's coefficients, built by one addition each, are q_j = wp(1^j 0^(e-j))
+    seen = []
+    engine = mainline._progressions
+
+    def recording(coeffs, floors, bound, starts):
+        seen.append(list(coeffs))
+        return engine(coeffs, floors, bound, starts)
+
+    monkeypatch.setattr(mainline, "_progressions", recording)
+    for p in (2, 3, 5):
+        for e in range(1, 9):
+            seen.clear()
+            is_mainline(p, (0,) * e, 0)
+            assert seen == [[wp_eval(p, [1] * j + [0] * (e - j)) for j in range(1, e + 1)]]
+
+
 @given(primes, seqs, st.integers(0, 60))
 def test_hull_invariance_of_membership(p, a, m):
     assert is_mainline(p, a, m) == is_mainline(p, hull(a), m)

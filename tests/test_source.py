@@ -69,6 +69,28 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_arithmetic_stays_in_integers():
+    # values are exact ints throughout: no fractions or decimal module, no true
+    # division, no float literal and no float() call; ratios are cross-multiplied
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _inexact(n)]
+    assert found == []
+
+
+def _inexact(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in ("fractions", "decimal") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in ("fractions", "decimal")
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+
+
 def _callee(func: ast.expr) -> str | None:
     # f(...) or, inside a method, self.f(...) and cls.f(...)
     if isinstance(func, ast.Name):
