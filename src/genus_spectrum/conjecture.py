@@ -11,9 +11,10 @@ produce equal-spectrum pairs:
 
 * varying exponent: an exhaustive search over invariant sequences, grouped
   by cyclic deficiency.  Sequences of exponent p^e and deficiency delta form
-  a knapsack family (weights i, values p^e - p^{e-i}).  Per deficiency,
-  exact min/max envelopes bound the mu_0 values of each exponent, and only
-  the overlap of the two envelopes is searched: each side computes, as a
+  a knapsack family (weights i, values p^e - p^{e-i}).  The values are
+  concave in i, so the exact min/max envelopes of the mu_0 values of each
+  exponent are closed forms in the deficiency, and only the overlap of the
+  two envelopes is searched: each side computes, as a
   bitset over that window, the values it reaches, from a memo of
   (coin, remaining weight, window) states that serves every deficiency and
   the witness recovery alike.  A state tries only the counts of its coin
@@ -144,8 +145,10 @@ class _Side:
     vector adds sum(i t_i) to the deficiency and sum(c_i t_i) to twice mu_0,
     with c_i = p^e - p^{e-i}.  `scale` pre-multiplies the values so that
     doubled-mu relations become plain translations.  For p = 2 a top floor
-    of 1 pins r_e = 1, so coin e is left out.  The caller chooses the window
-    of values, inside the envelope; the memo never keeps a root (`_window`).
+    of 1 pins r_e = 1, so coin e is left out.  The least and the greatest
+    value at each weight are closed forms (`_envelope`), so set-up does not
+    grow with delta_max.  The caller chooses the window of values, inside
+    the envelope; the memo never keeps a root (`_window`).
     A memo state tries only the counts of its coin whose value-per-weight
     bounds meet its window (`_counts`); the others have no child to keep.
     """
@@ -166,64 +169,63 @@ class _Side:
         self.coins = [(i, v // self.unit) for i, v in enumerate(values, start=1)]
         self.dmax = max(delta_max - self.delta0, 0)
 
-        # Exact value envelopes per remaining-coin suffix; index 0 = all coins,
-        # None where no vector reaches the weight.  Row j starts as a copy of
-        # row j + 1 (no coin j) and is relaxed in place over d = w .. dmax.
-        # The zip's list iterators read entry d - w at step d, after step
-        # d - w relaxed it, so any number of coin j is allowed.
-        n = len(self.coins)
-        lo_row: list[int | None] = [0] + [None] * self.dmax
-        hi_row = lo_row[:]
-        self.smin: list[list[int | None]] = [lo_row] * (n + 1)
-        self.smax: list[list[int | None]] = [hi_row] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            w, v = self.coins[j]
-            lo_row, hi_row = lo_row[:], hi_row[:]
-            for d, lo, hi in zip(range(w, self.dmax + 1), lo_row, hi_row):
-                if lo is None:
-                    continue
-                lo += v
-                hi += v
-                cur = lo_row[d]
-                if cur is None:
-                    lo_row[d], hi_row[d] = lo, hi
-                    continue
-                if lo < cur:
-                    lo_row[d] = lo
-                if hi > hi_row[d]:
-                    hi_row[d] = hi
-            self.smin[j], self.smax[j] = lo_row, hi_row
-
-        # The least and the greatest value per weight of the coins after j, as
-        # (numerator, denominator) pairs; (0, 1) for both past the last coin.
-        self._ratios: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        a, b = None, (0, 1)
-        for w, v in reversed(self.coins):
-            self._ratios.append((a or (0, 1), b))
-            if a is None or v * a[1] < a[0] * w:
-                a = (v, w)
-            if v * b[1] > b[0] * w:
-                b = (v, w)
-        self._ratios.reverse()
+        # value of the coin of weight i, with 0 at weight 0
+        self._values = [0] + [v for _, v in self.coins]
+        # _cells[j][d] is _envelope(j, d), kept from the first read in _kids
+        self._cells: list[dict[int, tuple[int, int] | None]] = [{} for _ in self._values]
 
         # (coin index j, remaining weight rd, lo, hi) -> (bits, live counts):
         # what coins j.. reach at weight rd in [lo, hi], see _window
         self._memo: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
 
+    def _envelope(self, j: int, d: int) -> tuple[int, int] | None:
+        """(least, greatest) value, in units, of the free vectors of weight d
+        over coins j.., or None when none has weight d.
+
+        Those coins have the weights a = j + 1 .. n and values proportional
+        to c_i = p^e - p^(e-i), concave in i with c_0 = 0.  So at a fixed
+        weight more coins, and more even ones, give a larger value: the
+        greatest takes kmax = d // a coins as evenly as possible, and the
+        least takes kmin = ceil(d / n) coins spread as far as possible: n's,
+        one middle coin, then a's.  With coin 1 (j = 0) that is d coins of
+        weight 1, and d // n coins of weight n plus one of weight d mod n.
+        """
+        v = self._values
+        n = len(v) - 1
+        if j == 0 and n:
+            q, r = divmod(d, n)
+            return q * v[n] + v[r], d * v[1]
+        if d == 0:
+            return 0, 0
+        if j == n:
+            return None
+        a = j + 1
+        kmax, kmin = d // a, -(-d // n)
+        if kmin > kmax:
+            return None
+        q, r = divmod(d, kmax)
+        full, extra = divmod(d - kmin * a, n - a) if n > a else (kmin, 0)
+        lo = full * v[n] + v[a + extra] + (kmin - full - 1) * v[a]
+        return lo, (kmax - r) * v[q] + (r * v[q + 1] if r else 0)
+
     def _counts(self, key: tuple[int, int, int, int]) -> range:
         """The counts k of coin j whose child can meet the window [lo, hi].
 
-        With a and b the least and the greatest value per weight of the
-        coins after j, the child of count k has weight nd = rd - k w, and its
-        envelope plus k v lies in [k v + a nd, k v + b nd].  A count whose
-        interval misses [lo, hi] therefore fails the envelope test of
-        `_kids`, so the range keeps only k v + a nd <= hi and k v + b nd >=
-        lo.  Both are linear in k; where k's coefficient is not positive,
-        that end stays uncut.
+        Value per weight falls along the coins (c_i / i falls, as c is
+        concave with c_0 = 0), so among the coins after j the least value per
+        weight, a, is the last coin's and the greatest, b, is coin j + 1's.
+        The child of count k has weight nd = rd - k w, and its envelope
+        plus k v lies in [k v + a nd, k v + b nd].  A count whose interval
+        misses [lo, hi] therefore fails the envelope test of `_kids`, so the
+        range keeps only k v + a nd <= hi and k v + b nd >= lo.  Both are
+        linear in k; where k's coefficient is not positive, that end stays
+        uncut.
         """
         j, rd, lo, hi = key
-        w, v = self.coins[j]
-        (an, ad), (bn, bd) = self._ratios[j]
+        coins = self.coins
+        w, v = coins[j]
+        # (weight, value) of a and b; value 0 past the last coin
+        (ad, an), (bd, bn) = (coins[-1], coins[j + 1]) if j + 1 < len(coins) else ((1, 0), (1, 0))
         k_lo, k_hi = 0, rd // w
         slope = v * ad - an * w
         if slope > 0:
@@ -240,17 +242,20 @@ class _Side:
         clipped to its envelope, is not empty; child bit b is parent bit
         b + shift.  `ks` limits the counts tried; without it they are the
         counts of `_counts`, which leaves out only children this test
-        rejects."""
+        rejects.  A child's envelope is computed once per side, on its first
+        read: the witness walk asks for the same children again."""
         j, rd, lo, hi = key
         w, v = self.coins[j]
-        lo_row, hi_row = self.smin[j + 1], self.smax[j + 1]
+        cells = self._cells[j + 1]
         out = []
         for k in self._counts(key) if ks is None else ks:
             nd, kv = rd - k * w, k * v
-            env_lo = lo_row[nd]
-            if env_lo is not None and env_lo + kv <= hi and lo <= hi_row[nd] + kv:
-                kid_lo = max(lo - kv, env_lo)
-                out.append((k, (j + 1, nd, kid_lo, min(hi - kv, hi_row[nd])), kid_lo - lo + kv))
+            if nd not in cells:
+                cells[nd] = self._envelope(j + 1, nd)
+            env = cells[nd]
+            if env is not None and env[0] + kv <= hi and lo <= env[1] + kv:
+                kid_lo = max(lo - kv, env[0])
+                out.append((k, (j + 1, nd, kid_lo, min(hi - kv, env[1])), kid_lo - lo + kv))
         return out
 
     def _window(self, key: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
@@ -373,28 +378,20 @@ def _search_class(
         return by_value
 
     pairs: list[CounterexamplePair] = []
-    delta_lo = max(side1.delta0, side2.delta0 - delta_offset)
-    d1_lo = delta_lo - side1.delta0
-    d2_lo = delta_lo + delta_offset - side2.delta0
     # Only the overlap of the two envelopes can match, so reach and the
-    # witness walk run on that window alone.  The test reads both sides'
-    # all-coin rows in step, so a deficiency whose overlap is empty costs one
-    # zip step (8 184 of the 8 185 deficiencies at (2, 8, 7, 8220, mixed),
-    # 167 of 331 at (3, 5, 4, 350)); rows end at each side's dmax.
-    rows = zip(
-        range(delta_lo, delta_max + 1),
-        side1.smin[0][d1_lo:],
-        side1.smax[0][d1_lo:],
-        side2.smin[0][d2_lo:],
-        side2.smax[0][d2_lo:],
-    )
-    for delta1, lo1, hi1, lo2, hi2 in rows:
-        if lo1 is None or lo2 is None or lo1 > hi2 + off or lo2 + off > hi1:
+    # witness walk run on that window alone.  A deficiency whose overlap is
+    # empty costs two closed-form envelopes (8 184 of the 8 185 deficiencies
+    # at (2, 8, 7, 8220, mixed), 167 of 331 at (3, 5, 4, 350)).
+    for delta1 in range(max(side1.delta0, side2.delta0 - delta_offset), delta_max + 1):
+        delta2 = delta1 + delta_offset
+        d1, d2 = delta1 - side1.delta0, delta2 - side2.delta0
+        env1, env2 = side1._envelope(0, d1), side2._envelope(0, d2)
+        if env1 is None or env2 is None:
+            continue
+        (lo1, hi1), (lo2, hi2) = env1, env2
+        if lo1 > hi2 + off or lo2 + off > hi1:
             continue
         lo, hi = max(lo1, lo2 + off), min(hi1, hi2 + off)
-        d1 = delta1 - side1.delta0
-        delta2 = delta1 + delta_offset
-        d2 = delta2 - side2.delta0
         matched = side1.reach(d1, lo, hi)
         if not shared:
             matched &= side2.reach(d2, lo - off, hi - off)

@@ -154,36 +154,28 @@ def _bitset_side(p: int, e: int, top_floor: int, pin_top: bool, scale: int, delt
     return floors, floor_group.delta, base, coins, slices
 
 
-def envelope_bounds(coins, j: int, d: int) -> tuple[int, int] | None:
-    """(min, max) value of the vectors of weight d over coins[j:], or None
-    when none has weight d, by closed form instead of a table.
-
-    coins[j:] are (weight, value) with consecutive weights a..b and values
-    proportional to c_i = p^e - p^(e-i), concave in i with c_0 = 0.  So at a
-    fixed weight, more coins and more even coins give a larger value: the max
-    takes kmax = floor(d/a) coins as evenly as possible, and the min takes
-    kmin = ceil(d/b) coins spread as far as possible: b's, one middle coin,
-    then a's.
-    """
-    suffix = coins[j:]
-    if d == 0:
-        return 0, 0
-    if not suffix:
-        return None
-    value = dict(suffix)
-    a, b = suffix[0][0], suffix[-1][0]
-    kmax, kmin = d // a, -(-d // b)
-    if kmin > kmax:
-        return None
-    q, r = divmod(d, kmax)
-    hi = (kmax - r) * value[q] + (r * value[q + 1] if r else 0)
-    if a == b:
-        return kmin * value[a], hi
-    full, extra = divmod(d - kmin * a, b - a)
-    if full == kmin:
-        return kmin * value[b], hi
-    lo = full * value[b] + value[a + extra] + (kmin - full - 1) * value[a]
-    return lo, hi
+def envelope_tables(coins, dmax: int):
+    """(smin, smax): entry [j][d] is the least / greatest value of the vectors
+    of weight d over coins[j:], or None when none has weight d, for d = 0 ..
+    dmax, by relaxation over every weight instead of a closed form.  Row j
+    copies row j + 1 (no coin j) and relaxes it in place in ascending d, so
+    entry d - w is final when d reads it and coin j may repeat."""
+    lo_row: list[int | None] = [0] + [None] * dmax
+    hi_row = lo_row[:]
+    smin, smax = [lo_row], [hi_row]
+    for w, v in reversed(coins):
+        lo_row, hi_row = lo_row[:], hi_row[:]
+        for d in range(w, dmax + 1):
+            lo, hi = lo_row[d - w], hi_row[d - w]
+            if lo is None:
+                continue
+            if lo_row[d] is None:
+                lo_row[d], hi_row[d] = lo + v, hi + v
+            else:
+                lo_row[d], hi_row[d] = min(lo_row[d], lo + v), max(hi_row[d], hi + v)
+        smin.append(lo_row)
+        smax.append(hi_row)
+    return smin[::-1], smax[::-1]
 
 
 def free_vectors(coins, d: int) -> dict[int, list[tuple[int, ...]]]:

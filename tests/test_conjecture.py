@@ -25,7 +25,7 @@ from genus_spectrum import (
 )
 from genus_spectrum.conjecture import _Side
 
-from helpers import bitset_join, envelope_bounds, free_vectors, weights
+from helpers import bitset_join, envelope_tables, free_vectors, weights
 
 
 def test_rho():
@@ -212,7 +212,8 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
     # wrap the side constructor and witness recovery the way bench/tracer.py does
     built: list[_Side] = []
     asked: list[tuple[int, int]] = []
-    init, witnesses = _Side.__init__, _Side.witnesses
+    cells: list[tuple[int, int, int]] = []
+    init, witnesses, envelope = _Side.__init__, _Side.witnesses, _Side._envelope
 
     def counting_init(self, *args):
         built.append(self)
@@ -222,12 +223,20 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
         asked.append((id(self), d))
         return witnesses(self, d, lo, hi, wanted)
 
+    def counting_envelope(self, j, d):
+        if j:
+            cells.append((id(self), j, d))
+        return envelope(self, j, d)
+
     monkeypatch.setattr(_Side, "__init__", counting_init)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
+    monkeypatch.setattr(_Side, "_envelope", counting_envelope)
 
     assert len(search_counterexamples(2, 5, 4, 60)) == 65
     # one witness walk per side and deficiency, whatever the matched values
     assert asked and len(asked) == len(set(asked))
+    # the memo and the witness walk read each inner envelope cell once per side
+    assert cells and len(cells) == len(set(cells))
     built.clear()
     search_counterexamples(2, 4, 4, 40)
     # the two same-lattice classes each read one side; the mixed class two
@@ -243,10 +252,11 @@ def test_varying_exponent_minimality_p3():
     ]
 
 
-def test_varying_exponent_minimality_p5():
-    # the p=5 member of the series is deficiency-minimal too
-    pairs = search_counterexamples(5, 7, 6, 1119)
-    assert [(q.g1, q.g2, q.delta) for q in pairs] == [(*varying_exponent_pair(5), 1119)]
+@pytest.mark.parametrize("p, delta", [(5, 1119), (7, 3725)])
+def test_varying_exponent_minimality(p, delta):
+    # the p = 5 and p = 7 members of the series are deficiency-minimal too
+    pairs = search_counterexamples(p, p + 2, p + 1, delta)
+    assert [(q.g1, q.g2, q.delta) for q in pairs] == [(*varying_exponent_pair(p), delta)]
 
 
 def test_varying_exponent_pair():
@@ -269,7 +279,7 @@ def test_witness_recovery_leaves_no_reference_cycles():
     side = _Side(3, 5, 1, 1, 60)
     targets = []
     for d in range(side.dmax + 1):
-        lo, hi = side.smin[0][d], side.smax[0][d]
+        lo, hi = side._envelope(0, d)
         bits = side.reach(d, lo, hi)
         if bits:
             targets.append((d, lo, hi, bits))
@@ -323,7 +333,7 @@ def test_witnesses_return_exactly_the_wanted_values():
     side = _Side(3, 4, 1, 1, 60)
     checked = 0
     for d in range(side.dmax + 1):
-        lo, hi = side.smin[0][d], side.smax[0][d]
+        lo, hi = side._envelope(0, d)
         bits = side.reach(d, lo, hi)
         reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
         wanted = sum(1 << b for b in reached[::2])
@@ -348,10 +358,11 @@ def test_search_walks_a_long_coin_chain_without_recursion():
 
 
 def test_envelope_tables_match_the_closed_form():
-    # every row and weight of the smin/smax tables against helpers' closed
-    # form, on coins rebuilt from the reference weights; delta_max below the
-    # floor deficiency leaves the single weight 0.  The side derives its
-    # pinned top from p and the top floor, the spec lists it explicitly.
+    # the closed-form envelope of every coin suffix and weight against the
+    # relaxation tables of tests/helpers.py, on coins rebuilt from the
+    # reference weights; delta_max below the floor deficiency leaves the
+    # single weight 0.  The side derives its pinned top from p and the top
+    # floor, the spec lists it explicitly.
     checked = 0
     for p in (2, 3, 5, 7):
         specs = [(2, False, 1), (1, True, 1), (2, False, 2)] if p == 2 else [(max(p - 2, 1), False, 1)]
@@ -366,13 +377,35 @@ def test_envelope_tables_match_the_closed_form():
                     coins = [(i, v // unit) for i, v in enumerate(values, start=1)]
                     assert (side.delta0, side.unit, side.coins) == (floor.delta, unit, coins)
                     assert side.dmax == max(delta_max - floor.delta, 0)
+                    smin, smax = envelope_tables(coins, side.dmax)
                     for j in range(len(coins) + 1):
                         for d in range(side.dmax + 1):
-                            lo, hi = side.smin[j][d], side.smax[j][d]
-                            got = None if lo is None else (lo, hi)
-                            assert got == envelope_bounds(coins, j, d), (p, e, top, pin, j, d)
+                            lo, hi = smin[j][d], smax[j][d]
+                            expected = None if lo is None else (lo, hi)
+                            assert side._envelope(j, d) == expected, (p, e, top, pin, j, d)
                             checked += 1
     assert checked > 15000
+
+
+def test_side_setup_does_not_grow_with_delta_max():
+    # the envelopes are closed forms, so a side for deficiencies up to 10^12
+    # builds at once; at the largest weight the bounds are attained by
+    # explicit vectors: all coin 1, and dmax // n coins of weight n plus one
+    # of weight dmax mod n
+    side = _Side(3, 5, 1, 1, 10**12)
+    floor = AbelianPGroup(3, (2, 2, 2, 2, 1))
+    assert side.dmax == 10**12 - floor.delta
+    n = len(side.coins)
+    q, r = divmod(side.dmax, n)
+    least = [0] * n
+    least[-1] = q
+    if r:
+        least[r - 1] += 1
+    greatest = [side.dmax] + [0] * (n - 1)
+    for t in (least, greatest):
+        assert sum(k * w for (w, _), k in zip(side.coins, t)) == side.dmax
+    lo, hi = (sum(k * v for (_, v), k in zip(side.coins, t)) for t in (least, greatest))
+    assert side._envelope(0, side.dmax) == (lo, hi)
 
 
 def test_count_cut_keeps_every_child():
@@ -389,8 +422,9 @@ def test_count_cut_keeps_every_child():
                 n = len(side.coins)
                 roots = []
                 for d in range(side.dmax + 1):
-                    lo, hi = side.smin[0][d], side.smax[0][d]
-                    if lo is not None:
+                    env = side._envelope(0, d)
+                    if env is not None:
+                        lo, hi = env
                         third = (hi - lo) // 3
                         roots += [(0, d, lo, hi), (0, d, lo + third, hi - third), (0, d, hi, hi)]
                 for key in roots:
