@@ -16,13 +16,14 @@ produce equal-spectrum pairs:
   exponent are closed forms in the deficiency, and only the overlap of the
   two envelopes is searched: each side computes, as a
   bitset over that window, the values it reaches, from a memo of
-  (coin, remaining weight, window) states that serves every deficiency and
-  the witness recovery alike.  A state tries only the counts of its coin
-  that can meet its window: the later coins' least and greatest value per
-  weight bound every value below each count, and a count whose bounds miss
-  the window would fail the exact envelope test anyway.  This keeps the
-  search exhaustive for deficiencies in the thousands, far beyond direct
-  enumeration.
+  (coin, remaining weight, window) states that serves every deficiency.
+  Each state derives its children once and keeps links to those that reach
+  a value, so the witness recovery follows the links and derives nothing
+  again.  A state tries only the counts of its coin that can meet its
+  window: the later coins' least and greatest value per weight bound every
+  value below each count, and a count whose bounds miss the window would
+  fail the exact envelope test anyway.  This keeps the search exhaustive
+  for deficiencies in the thousands, far beyond direct enumeration.
 
 For p = 2 the convention of the varying-exponent search is that the group of
 exponent p^e (the first one) has r_e >= 2, i.e. carries the half-integral
@@ -146,14 +147,14 @@ class _Side:
     with c_i = p^e - p^{e-i}.  `scale` pre-multiplies the values so that
     doubled-mu relations become plain translations.  For p = 2 a top floor
     of 1 pins r_e = 1, so coin e is left out.  The least and the greatest
-    value at each weight are closed forms (`_envelope`), so set-up does not
-    grow with delta_max.  The caller chooses the window of values, inside
-    the envelope; the memo never keeps a root (`_window`).
+    value at each weight are closed forms (`_envelope`), so set-up needs no
+    deficiency bound.  The caller chooses the window of values, inside the
+    envelope; the memo never keeps a root (`_window`).
     A memo state tries only the counts of its coin whose value-per-weight
     bounds meet its window (`_counts`); the others have no child to keep.
     """
 
-    def __init__(self, p: int, e: int, top_floor: int, scale: int, delta_max: int):
+    def __init__(self, p: int, e: int, top_floor: int, scale: int):
         self.p = p
         self.scale = scale
         self.floors = tuple([p - 1] * (e - 1) + [top_floor])
@@ -167,16 +168,13 @@ class _Side:
         # for odd p.  Coin i has weight i.
         self.unit = gcd(*values)
         self.coins = [(i, v // self.unit) for i, v in enumerate(values, start=1)]
-        self.dmax = max(delta_max - self.delta0, 0)
 
         # value of the coin of weight i, with 0 at weight 0
         self._values = [0] + [v for _, v in self.coins]
-        # _cells[j][d] is _envelope(j, d), kept from the first read in _kids
-        self._cells: list[dict[int, tuple[int, int] | None]] = [{} for _ in self._values]
 
-        # (coin index j, remaining weight rd, lo, hi) -> (bits, live counts):
+        # (coin index j, remaining weight rd, lo, hi) -> (bits, live children):
         # what coins j.. reach at weight rd in [lo, hi], see _window
-        self._memo: dict[tuple[int, int, int, int], tuple[int, tuple[int, ...]]] = {}
+        self._memo: dict[tuple[int, int, int, int], tuple[int, tuple]] = {}
 
     def _envelope(self, j: int, d: int) -> tuple[int, int] | None:
         """(least, greatest) value, in units, of the free vectors of weight d
@@ -235,40 +233,34 @@ class _Side:
             k_lo = max(k_lo, -((bn * rd - lo * bd) // slope))
         return range(k_lo, k_hi + 1)
 
-    def _kids(
-        self, key: tuple[int, int, int, int], ks: tuple[int, ...] | None = None
-    ) -> list[tuple[int, tuple, int]]:
+    def _kids(self, key: tuple[int, int, int, int]) -> list[tuple[int, tuple, int]]:
         """(count k of coin j, child key, shift) for each child whose window,
         clipped to its envelope, is not empty; child bit b is parent bit
-        b + shift.  `ks` limits the counts tried; without it they are the
-        counts of `_counts`, which leaves out only children this test
-        rejects.  A child's envelope is computed once per side, on its first
-        read: the witness walk asks for the same children again."""
+        b + shift.  The counts tried are those of `_counts`, which leaves
+        out only children this test rejects.  `_window` calls it once per
+        memo key."""
         j, rd, lo, hi = key
         w, v = self.coins[j]
-        cells = self._cells[j + 1]
         out = []
-        for k in self._counts(key) if ks is None else ks:
+        for k in self._counts(key):
             nd, kv = rd - k * w, k * v
-            if nd not in cells:
-                cells[nd] = self._envelope(j + 1, nd)
-            env = cells[nd]
+            env = self._envelope(j + 1, nd)
             if env is not None and env[0] + kv <= hi and lo <= env[1] + kv:
                 kid_lo = max(lo - kv, env[0])
                 out.append((k, (j + 1, nd, kid_lo, min(hi - kv, env[1])), kid_lo - lo + kv))
         return out
 
-    def _window(self, key: tuple[int, int, int, int]) -> tuple[int, tuple[int, ...]]:
-        """(bits, live counts) of the root `key` (all coins, weight d): the
+    def _window(self, key: tuple[int, int, int, int]) -> tuple[int, tuple]:
+        """(bits, live children) of the root `key` (all coins, weight d): the
         bits, relative to its lo, of the values in its window that the coins
-        reach, and the counts k of the first coin whose child has any bit
-        set.
+        reach, and (k, shift, child entry) for each count k of the first coin
+        whose child has any bit set, in ascending k.  A child entry is the
+        child's own (bits, live children), the object the memo holds, so the
+        entries link down to the leaves (1, ()).
 
         The memo holds the same per key.  It is filled on an explicit stack,
         since a chain of keys is as long as the coin list.  The root leaves
-        the memo: it is never a child, so only the same deficiency's witness
-        walk asks for it again, rebuilding it from its memoised children, and
-        roots are the widest windows (30 of 75 MB of memo at (7, 9, 8, 3725)).
+        the memo: it is never a child, and roots are the widest windows.
         """
         memo, n = self._memo, len(self.coins)
         pending: dict[tuple, list] = {}
@@ -295,10 +287,10 @@ class _Side:
                     continue
             bits, live = 0, []
             for k, kid, shift in kids:
-                kid_bits = memo[kid][0]
-                if kid_bits:
-                    bits |= kid_bits << shift
-                    live.append(k)
+                entry = memo[kid]
+                if entry[0]:
+                    bits |= entry[0] << shift
+                    live.append((k, shift, entry))
             memo[node] = (bits, tuple(live))
             todo.pop()
         return memo.pop(key)
@@ -316,31 +308,29 @@ class _Side:
         units, lies in [lo, hi] and has its bit, relative to lo, set in
         `wanted`.  The window lies inside the envelope at d.
 
-        The walk carries the mask of still-wanted values and ANDs it with
-        each child's memoised window, so every node it visits lies on a path
-        to an output.  Vectors come out in ascending order.
+        The walk follows the live children of the root entry from `_window`.
+        It carries the mask of still-wanted values and ANDs it with each
+        child's bits, so every node it visits lies on a path to an output.
+        Vectors come out in ascending order.
         """
-        memo, coins, n = self._memo, self.coins, len(self.coins)
+        coins, n = self.coins, len(self.coins)
         out: list[tuple[int, tuple[int, ...]]] = []
-        # (key, its live counts, wanted bits relative to its lo, value so
-        # far, prefix of t); children are pushed in reverse so t comes out
-        # ascending
-        key = (0, d, lo, hi)
-        bits, live = self._window(key)
+        # (live children, wanted bits relative to the node's lo, value so
+        # far, prefix of t); a node of prefix length n is a leaf.  Children
+        # are pushed in reverse so t comes out ascending
+        bits, live = self._window((0, d, lo, hi))
         mask = wanted & bits
-        todo = [(key, live, mask, 0, ())] if mask else []
+        todo = [(live, mask, 0, ())] if mask else []
         while todo:
-            node, live, mask, acc, t = todo.pop()
-            j = node[0]
-            if j == n:
+            live, mask, acc, t = todo.pop()
+            if len(t) == n:
                 out.append((acc, t))
                 continue
-            v = coins[j][1]
-            for k, kid, shift in reversed(self._kids(node, live)):
-                kid_bits, kid_live = memo[kid]
+            v = coins[len(t)][1]
+            for k, shift, (kid_bits, kid_live) in reversed(live):
                 sub = (mask >> shift) & kid_bits
                 if sub:
-                    todo.append((kid, kid_live, sub, acc + k * v, t + (k,)))
+                    todo.append((kid_live, sub, acc + k * v, t + (k,)))
         return out
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
@@ -451,8 +441,8 @@ def search_counterexamples(
         if relation not in (None, label):
             continue
         # an equal-exponent class is one side
-        side1 = _Side(p, e, *spec1, delta_max)
-        side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2, delta_max)
+        side1 = _Side(p, e, *spec1)
+        side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2)
         pairs.extend(_search_class(side1, side2, offset, delta_max, label))
 
     # every side's floors are large, so spectra compare by genus progression,

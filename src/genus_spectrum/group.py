@@ -156,20 +156,24 @@ def parse_group(text: str) -> AbelianPGroup:
     return AbelianPGroup(p, r)
 
 
+def top_pair_index(counts: tuple[int, ...]) -> int:
+    """Largest d with counts[d-1] + ... + counts[-1] >= 2, or 0 when the
+    counts sum to less than 2."""
+    tail = 0
+    for d in range(len(counts), 0, -1):
+        tail += counts[d - 1]
+        if tail >= 2:
+            return d
+    return 0
+
+
 def e_prime(G: AbelianPGroup) -> int:
     """Largest d with r_d + ... + r_e >= 2, and 0 for cyclic groups.
 
     Equals e exactly when r_e >= 2; e' < e characterises groups whose
     top-order layer is a single cyclic summand.
     """
-    if G.rank <= 1:
-        return 0
-    tail = 0
-    for d in range(G.e, 0, -1):
-        tail += G.r[d - 1]
-        if tail >= 2:
-            return d
-    return 0
+    return top_pair_index(G.r)
 
 
 def kulkarni_n(p_delta: int, epsilon: int) -> int:

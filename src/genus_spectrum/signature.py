@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
-from .group import AbelianPGroup, e_prime
+from .group import AbelianPGroup, e_prime, top_pair_index
 from .halfint import HalfInt
 from .mainline import is_nonincreasing, wp_eval
 
@@ -60,14 +60,7 @@ class PDatum:
     @cached_property
     def f_prime(self) -> int:
         """Largest d with x_d + ... + x_f >= 2, or 0 when fewer than 2 periods."""
-        if sum(self.x) <= 1:
-            return 0
-        tail = 0
-        for d in range(self.f, 0, -1):
-            tail += self.x[d - 1]
-            if tail >= 2:
-                return d
-        return 0
+        return top_pair_index(self.x)
 
     def encode(self) -> str:
         return f"{','.join(str(v) for v in self.x)};{self.h}"

@@ -1,6 +1,8 @@
 import gc
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import or_
 
 import pytest
 
@@ -212,8 +214,8 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
     # wrap the side constructor and witness recovery the way bench/tracer.py does
     built: list[_Side] = []
     asked: list[tuple[int, int]] = []
-    cells: list[tuple[int, int, int]] = []
-    init, witnesses, envelope = _Side.__init__, _Side.witnesses, _Side._envelope
+    derived: list[tuple[int, tuple]] = []
+    init, witnesses, kids = _Side.__init__, _Side.witnesses, _Side._kids
 
     def counting_init(self, *args):
         built.append(self)
@@ -223,20 +225,21 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
         asked.append((id(self), d))
         return witnesses(self, d, lo, hi, wanted)
 
-    def counting_envelope(self, j, d):
-        if j:
-            cells.append((id(self), j, d))
-        return envelope(self, j, d)
+    def counting_kids(self, key):
+        if key[0]:
+            derived.append((id(self), key))
+        return kids(self, key)
 
     monkeypatch.setattr(_Side, "__init__", counting_init)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
-    monkeypatch.setattr(_Side, "_envelope", counting_envelope)
+    monkeypatch.setattr(_Side, "_kids", counting_kids)
 
     assert len(search_counterexamples(2, 5, 4, 60)) == 65
     # one witness walk per side and deficiency, whatever the matched values
     assert asked and len(asked) == len(set(asked))
-    # the memo and the witness walk read each inner envelope cell once per side
-    assert cells and len(cells) == len(set(cells))
+    # each memo key below a root derives its children once per side: the
+    # witness walk follows the memo's links instead
+    assert derived and len(derived) == len(set(derived))
     built.clear()
     search_counterexamples(2, 4, 4, 40)
     # the two same-lattice classes each read one side; the mixed class two
@@ -276,9 +279,9 @@ def test_varying_exponent_pair():
 
 
 def test_witness_recovery_leaves_no_reference_cycles():
-    side = _Side(3, 5, 1, 1, 60)
+    side = _Side(3, 5, 1, 1)
     targets = []
-    for d in range(side.dmax + 1):
+    for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
         bits = side.reach(d, lo, hi)
         if bits:
@@ -330,9 +333,9 @@ def test_search_matches_bitset_join_reference(monkeypatch):
 def test_witnesses_return_exactly_the_wanted_values():
     # every other reachable value is wanted; the walk must return all vectors
     # of those values, in ascending order, and none of the others
-    side = _Side(3, 4, 1, 1, 60)
+    side = _Side(3, 4, 1, 1)
     checked = 0
-    for d in range(side.dmax + 1):
+    for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
         bits = side.reach(d, lo, hi)
         reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
@@ -371,15 +374,15 @@ def test_envelope_tables_match_the_closed_form():
                 assert pin == (p == 2 and top == 1)
                 floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
                 for delta_max in (floor.delta - 1, floor.delta + 120):
-                    side = _Side(p, e, top, scale, delta_max)
+                    side = _Side(p, e, top, scale)
+                    dmax = max(delta_max - side.delta0, 0)
                     values = [scale * c for c in weights(p, e)][: e - 1 if pin else e]
                     unit = gcd(*values)
                     coins = [(i, v // unit) for i, v in enumerate(values, start=1)]
                     assert (side.delta0, side.unit, side.coins) == (floor.delta, unit, coins)
-                    assert side.dmax == max(delta_max - floor.delta, 0)
-                    smin, smax = envelope_tables(coins, side.dmax)
+                    smin, smax = envelope_tables(coins, dmax)
                     for j in range(len(coins) + 1):
-                        for d in range(side.dmax + 1):
+                        for d in range(dmax + 1):
                             lo, hi = smin[j][d], smax[j][d]
                             expected = None if lo is None else (lo, hi)
                             assert side._envelope(j, d) == expected, (p, e, top, pin, j, d)
@@ -392,36 +395,37 @@ def test_side_setup_does_not_grow_with_delta_max():
     # builds at once; at the largest weight the bounds are attained by
     # explicit vectors: all coin 1, and dmax // n coins of weight n plus one
     # of weight dmax mod n
-    side = _Side(3, 5, 1, 1, 10**12)
+    side = _Side(3, 5, 1, 1)
     floor = AbelianPGroup(3, (2, 2, 2, 2, 1))
-    assert side.dmax == 10**12 - floor.delta
+    assert side.delta0 == floor.delta
+    dmax = 10**12 - side.delta0
     n = len(side.coins)
-    q, r = divmod(side.dmax, n)
+    q, r = divmod(dmax, n)
     least = [0] * n
     least[-1] = q
     if r:
         least[r - 1] += 1
-    greatest = [side.dmax] + [0] * (n - 1)
+    greatest = [dmax] + [0] * (n - 1)
     for t in (least, greatest):
-        assert sum(k * w for (w, _), k in zip(side.coins, t)) == side.dmax
+        assert sum(k * w for (w, _), k in zip(side.coins, t)) == dmax
     lo, hi = (sum(k * v for (_, v), k in zip(side.coins, t)) for t in (least, greatest))
-    assert side._envelope(0, side.dmax) == (lo, hi)
+    assert side._envelope(0, dmax) == (lo, hi)
 
 
-def test_count_cut_keeps_every_child():
+def test_count_cut_keeps_every_child(monkeypatch):
     # the counts of _counts leave out only children the envelope test rejects:
     # on every relation-table row (the pinned p = 2 side and the scale-2 side
     # too), for root windows of several widths and every memo key below them
-    checked = 0
+    # the children equal those found when every count of the coin is tried
+    cut = []
     for p in (2, 3, 5, 7):
         specs = [(2, 1), (1, 1), (2, 2)] if p == 2 else [(p - 2, 1)]
         for e in range(1, 6):
             for top, scale in specs:
-                floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
-                side = _Side(p, e, top, scale, floor.delta + 40)
+                side = _Side(p, e, top, scale)
                 n = len(side.coins)
                 roots = []
-                for d in range(side.dmax + 1):
+                for d in range(41):
                     env = side._envelope(0, d)
                     if env is not None:
                         lo, hi = env
@@ -431,12 +435,47 @@ def test_count_cut_keeps_every_child():
                     if n:
                         side.reach(*key[1:])
                 for key in roots + list(side._memo):
-                    j, rd = key[:2]
-                    if j < n:
-                        every = tuple(range(rd // side.coins[j][0] + 1))
-                        assert side._kids(key) == side._kids(key, every), (p, e, top, scale, key)
-                        checked += 1
-    assert checked > 10000
+                    if key[0] < n:
+                        cut.append((side, key, side._kids(key)))
+
+    def every_count(self, key):
+        return range(key[1] // self.coins[key[0]][0] + 1)
+
+    monkeypatch.setattr(_Side, "_counts", every_count)
+    for side, key, kids in cut:
+        assert side._kids(key) == kids, (side.p, side.floors, side.scale, key)
+    assert len(cut) > 10000
+
+
+def test_memo_entries_link_their_live_children(monkeypatch):
+    # after a search, every memo entry of each side is (bits, live) with bits
+    # the OR of its live children's bits at their shifts; every listed child
+    # reaches a value and is an entry the memo holds, the counts ascend, and
+    # every key past the last coin is the leaf (1, ())
+    built: list[_Side] = []
+    init = _Side.__init__
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_Side, "__init__", recording_init)
+    assert search_counterexamples(2, 5, 4, 80)
+    assert search_counterexamples(3, 5, 4, 350)
+    checked = 0
+    for side in built:
+        n = len(side.coins)
+        held = {id(entry) for entry in side._memo.values()}
+        for key, (bits, live) in side._memo.items():
+            if key[0] == n:
+                assert (bits, live) == (1, ()), key
+                continue
+            assert bits == reduce(or_, (kid[0] << shift for _, shift, kid in live), 0), key
+            assert all(kid[0] and id(kid) in held for _, _, kid in live), key
+            ks = [k for k, _, _ in live]
+            assert ks == sorted(set(ks)), key
+            checked += 1
+    assert checked > 5000
 
 
 def test_count_cut_tries_few_counts_at_the_roots(monkeypatch):

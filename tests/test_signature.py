@@ -130,6 +130,16 @@ def test_classify_examples():
     assert classify_gamma_seq(Z2Z4, (1, 0, 0)) is None
 
 
+
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 5), min_size=1, max_size=5))
+def test_e_prime_is_the_f_prime_of_the_invariants(p, r):
+    # e' of G and f' of the datum with periods r are the same index, and
+    # both match the definition read off the tail sums directly
+    G = AbelianPGroup(p, tuple(r[:-1]) + (max(r[-1], 1),))
+    expected = max((d for d in range(1, G.e + 1) if sum(G.r[d - 1 :]) >= 2), default=0)
+    assert e_prime(G) == PDatum(G.r, 0).f_prime == expected
+
+
 data = st.builds(
     PDatum,
     st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple),
