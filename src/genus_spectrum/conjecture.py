@@ -13,10 +13,13 @@ produce equal-spectrum pairs:
   by cyclic deficiency.  Sequences of exponent p^e and deficiency delta form
   a knapsack family (weights i, values p^e - p^{e-i}).  The values are
   concave in i, so the exact min/max envelopes of the mu_0 values of each
-  exponent are closed forms in the deficiency, and only the overlap of the
-  two envelopes is searched: each side computes, as a
-  bitset over that window, the values it reaches, from a memo of
-  (coin, remaining weight, window) states that serves every deficiency.
+  exponent are closed forms in the deficiency, linear on each residue class
+  of deficiencies modulo the lcm of the two coin counts.  The deficiencies
+  whose envelopes overlap are therefore listed class by class, not tested
+  one by one, and only the overlap of the two envelopes is searched: each
+  side computes, as a bitset over that window, the values it reaches, from a
+  memo of (coin, remaining weight, window) states that serves every
+  deficiency.
   Each state derives its children once and keeps links to those that reach
   a value, so the witness recovery follows the links and derives nothing
   again.  A state tries only the counts of its coin that can meet its
@@ -35,12 +38,14 @@ reduced lattice.  The partner either also has a repeated top summand
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from heapq import merge
+from math import gcd, lcm
 
 from .errors import (
     InputError,
     InvalidInvariantsError,
     OutOfFamilyError,
+    OutOfRangeError,
     UnsupportedError,
     VerificationError,
 )
@@ -51,6 +56,10 @@ from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_m
 
 RELATION_SAME = "equal_spectrum_same_lattice"
 RELATION_MIXED = "equal_spectrum_p2_mixed"
+
+# Most overlap-window units, summed over every deficiency and relation class,
+# that one search may work on (see search_counterexamples).
+SEARCH_WIDTH_LIMIT = 10**9
 
 
 def rho(p: int) -> tuple[int, int, int]:
@@ -346,20 +355,115 @@ class _Side:
         return HalfInt(self.base_twice + value // self.scale)
 
 
-def _search_class(
-    side1: _Side, side2: _Side, delta_offset: int, delta_max: int, relation: str
-) -> list[CounterexamplePair]:
-    shared = side1 is side2
+def _overlap(env1, env2, off: int) -> tuple[int, int] | None:
+    """The window [lo, hi], in side-1 units, where the envelope env1 meets
+    env2 shifted by off, or None when they miss or a side has no vector."""
+    if env1 is None or env2 is None:
+        return None
+    lo, hi = max(env1[0], env2[0] + off), min(env1[1], env2[1] + off)
+    return (lo, hi) if lo <= hi else None
+
+
+def _positive_sum(c: int, s: int, q0: int, q1: int) -> int:
+    """The sum of max(c + s q, 0) over the integers q0 <= q <= q1."""
+    if s > 0:
+        q0 = max(q0, -c // s + 1)
+    elif s < 0:
+        q1 = min(q1, -(c // s) - 1)
+    elif c <= 0:
+        return 0
+    n = q1 - q0 + 1
+    return n * c + s * ((q0 + q1) * n // 2) if n > 0 else 0
+
+
+def _value_offset(side1: _Side, side2: _Side) -> int | None:
+    """off such that a side-2 value y lines up with the side-1 value y + off,
+    or None when no value is congruent to both bases."""
     # A free value y of a side stands for scale * (twice mu_0) = base + unit * y,
     # so with scales (2, 1) a match is mu_2 = 2 mu_1.  The two sides of a class
-    # count in one unit (a side without coins has unit 0 and only y = 0), and a
-    # side-2 value y lines up with the side-1 value y + off.
+    # count in one unit (a side without coins has unit 0 and only y = 0).
     unit = side1.unit or side2.unit or 1
     if side2.unit not in (0, unit):
         raise VerificationError(f"search sides count in units {side1.unit} and {side2.unit}")
     off, rem = divmod(side2.scale * side2.base_twice - side1.scale * side1.base_twice, unit)
-    if rem:
-        return []  # no value is congruent to both bases
+    return None if rem else off
+
+
+def _overlap_classes(
+    side1: _Side, side2: _Side, delta_offset: int, delta_max: int, off: int
+) -> tuple[list[range], int]:
+    """(classes, width): the deficiencies delta1 <= delta_max at which side
+    1's envelope meets side 2's at delta1 + delta_offset shifted by off, as
+    one ascending range per residue class, and the summed width of their
+    overlap windows.
+
+    With n coins, `_envelope(0, d)` is lo = (d // n) v_n + v_(d mod n) and
+    hi = d v_1.  On a residue class d1 = r + L q, with L = lcm(n1, n2), both
+    sides' lo and hi are therefore linear in q, with the same slopes on every
+    class, read off at d and d + L.  Each overlap inequality, a + b q <= 0,
+    then bounds q on one side, so a class passes on one q-interval, and
+    there the window's width is a sum of linear terms and their positive
+    parts.  The cost is O(L), not one test per deficiency.  A side with no
+    coins reaches weight 0 alone, so it passes one deficiency at most.
+    """
+    shift = side1.delta0 + delta_offset - side2.delta0  # d2 = d1 + shift
+    first, last = max(0, -shift), delta_max - side1.delta0
+    env1, env2 = side1._envelope, side2._envelope
+    if not (side1.coins and side2.coins):
+        d1 = -shift if side1.coins else 0
+        window = first <= d1 <= last and _overlap(env1(0, d1), env2(0, d1 + shift), off)
+        if not window:
+            return [], 0
+        return [range(side1.delta0 + d1, side1.delta0 + d1 + 1)], window[1] - window[0] + 1
+    step = lcm(len(side1.coins), len(side2.coins))
+    (lo1, hi1), (lo2, hi2) = env1(0, first), env2(0, first + shift)
+    (lo1s, hi1s), (lo2s, hi2s) = env1(0, first + step), env2(0, first + shift + step)
+    dlo1, dhi1, dlo2, dhi2 = lo1s - lo1, hi1s - hi1, lo2s - lo2, hi2s - hi2
+    classes, width = [], 0
+    for r in range(first, min(first + step, last + 1)):
+        (lo1, hi1), (lo2, hi2) = env1(0, r), env2(0, r + shift)
+        lo2, hi2 = lo2 + off, hi2 + off
+        q_lo, q_hi = 0, (last - r) // step
+        for a, b in ((lo1 - hi2, dlo1 - dhi2), (lo2 - hi1, dlo2 - dhi1)):
+            if b > 0:
+                q_hi = min(q_hi, -a // b)
+            elif b < 0:
+                q_lo = max(q_lo, -(a // b))
+            elif a > 0:
+                q_hi = -1
+        if q_lo > q_hi:
+            continue
+        start = side1.delta0 + r
+        classes.append(range(start + q_lo * step, start + q_hi * step + 1, step))
+        # min(hi1, hi2) - max(lo1, lo2) + 1 is hi1 - lo1 + 1 less the positive
+        # parts of hi1 - hi2 and lo2 - lo1
+        width += (
+            _positive_sum(hi1 - lo1 + 1, dhi1 - dlo1, q_lo, q_hi)
+            - _positive_sum(hi1 - hi2, dhi1 - dhi2, q_lo, q_hi)
+            - _positive_sum(lo2 - lo1, dlo2 - dlo1, q_lo, q_hi)
+        )
+    return classes, width
+
+
+def _search_class(
+    side1: _Side,
+    side2: _Side,
+    delta_offset: int,
+    off: int,
+    classes: list[range],
+    width: int,
+    relation: str,
+) -> list[CounterexamplePair]:
+    """The pairs of one relation class, from its `_value_offset` and
+    `_overlap_classes`.
+
+    The deficiencies of all residue classes are taken in ascending order, and
+    each window is recomputed from the two envelopes at its deficiency: a
+    listed deficiency whose envelopes miss, or windows whose widths do not
+    sum to `width`, fail loudly.  On each window both sides reach values,
+    and the witness walks recover the groups behind the values both reach.
+    """
+    shared = side1 is side2
 
     def groups(side: _Side, d: int, lo: int, hi: int, wanted: int) -> dict[int, list]:
         by_value: dict[int, list[AbelianPGroup]] = {}
@@ -368,20 +472,14 @@ def _search_class(
         return by_value
 
     pairs: list[CounterexamplePair] = []
-    # Only the overlap of the two envelopes can match, so reach and the
-    # witness walk run on that window alone.  A deficiency whose overlap is
-    # empty costs two closed-form envelopes (8 184 of the 8 185 deficiencies
-    # at (2, 8, 7, 8220, mixed), 167 of 331 at (3, 5, 4, 350)).
-    for delta1 in range(max(side1.delta0, side2.delta0 - delta_offset), delta_max + 1):
+    for delta1 in merge(*classes):
         delta2 = delta1 + delta_offset
         d1, d2 = delta1 - side1.delta0, delta2 - side2.delta0
-        env1, env2 = side1._envelope(0, d1), side2._envelope(0, d2)
-        if env1 is None or env2 is None:
-            continue
-        (lo1, hi1), (lo2, hi2) = env1, env2
-        if lo1 > hi2 + off or lo2 + off > hi1:
-            continue
-        lo, hi = max(lo1, lo2 + off), min(hi1, hi2 + off)
+        window = _overlap(side1._envelope(0, d1), side2._envelope(0, d2), off)
+        if window is None:
+            raise VerificationError(f"deficiency {delta1} was listed, but its envelopes miss")
+        lo, hi = window
+        width -= hi - lo + 1
         matched = side1.reach(d1, lo, hi)
         if not shared:
             matched &= side2.reach(d2, lo - off, hi - off)
@@ -397,6 +495,8 @@ def _search_class(
                 for g2 in groups2[y1 - off]:
                     if not shared or g1.r < g2.r:
                         pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
+    if width:
+        raise VerificationError(f"{relation} windows miss their summed width by {width}")
     return pairs
 
 
@@ -416,6 +516,13 @@ def search_counterexamples(
     lists every pair, so where several groups of each exponent share one
     deficiency and one mu_0 its size is the product of their counts, and it
     grows quickly with delta_max.
+
+    Before any reach set is built, the search lists the deficiencies whose
+    envelopes overlap in every class it runs and sums their window widths,
+    the widths of the reach bitsets and of the memo's root keys, in closed
+    form per residue class.  Above SEARCH_WIDTH_LIMIT = 10^9 units it raises
+    OutOfRangeError.  The p = 7 series search up to its deficiency 3 725
+    sums 1.9 * 10^8 units; the p = 11 one, 3.35 * 10^14.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -436,14 +543,29 @@ def search_counterexamples(
         (RELATION_MIXED, (2, 2), (1, 1), -1),
     ] if p == 2 else [(RELATION_SAME, (p - 2, 1), (p - 2, 1), 0)]
 
-    pairs: list[CounterexamplePair] = []
+    plan = []
     for label, spec1, spec2, offset in table:
         if relation not in (None, label):
             continue
         # an equal-exponent class is one side
         side1 = _Side(p, e, *spec1)
         side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2)
-        pairs.extend(_search_class(side1, side2, offset, delta_max, label))
+        off = _value_offset(side1, side2)
+        if off is not None:
+            listed = _overlap_classes(side1, side2, offset, delta_max, off)
+            plan.append((side1, side2, offset, off, *listed, label))
+    count = sum(len(r) for row in plan for r in row[4])
+    width = sum(row[5] for row in plan)
+    if width > SEARCH_WIDTH_LIMIT:
+        raise OutOfRangeError(
+            f"{count} deficiencies up to {delta_max} have overlapping envelopes, with "
+            f"windows summing to {width} units, over the search's limit of "
+            f"{SEARCH_WIDTH_LIMIT} units"
+        )
+
+    pairs: list[CounterexamplePair] = []
+    for row in plan:
+        pairs.extend(_search_class(*row))
 
     # every side's floors are large, so spectra compare by genus progression,
     # computed once per distinct group however many pairs it sits in

@@ -178,6 +178,23 @@ def envelope_tables(coins, dmax: int):
     return smin[::-1], smax[::-1]
 
 
+def overlap_windows_by_scan(side1, side2, offset: int, delta_max: int, off: int) -> list[tuple]:
+    """(delta1, lo, hi) for each deficiency delta1 <= delta_max, ascending, at
+    which side 1's envelope meets side 2's at delta1 + offset shifted by off,
+    with [lo, hi] the overlap, by testing every deficiency in turn instead of
+    listing them by residue class."""
+    out = []
+    for delta1 in range(max(side1.delta0, side2.delta0 - offset), delta_max + 1):
+        env1 = side1._envelope(0, delta1 - side1.delta0)
+        env2 = side2._envelope(0, delta1 + offset - side2.delta0)
+        if env1 is None or env2 is None:
+            continue
+        (lo1, hi1), (lo2, hi2) = env1, env2
+        if lo1 <= hi2 + off and lo2 + off <= hi1:
+            out.append((delta1, max(lo1, lo2 + off), min(hi1, hi2 + off)))
+    return out
+
+
 def free_vectors(coins, d: int) -> dict[int, list[tuple[int, ...]]]:
     """Every t >= 0 over the coins with weight d, keyed by its value."""
     out: dict[int, list[tuple[int, ...]]] = {}

@@ -206,6 +206,21 @@ def test_integers_past_the_default_digit_limit_print_without_a_traceback():
     assert construct.stderr.startswith("error: ") and construct.stderr.count("\n") == 1
 
 
+def test_oversized_search_exits_1_without_a_traceback():
+    # 99 386 deficiencies pass the envelope test with windows summing to
+    # 1.18 * 10^14 units; the preflight refuses before any memo is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "5", "--e", "9",
+         "--e-tilde", "8", "--delta-max", "100000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: 99386 deficiencies") and proc.stderr.count("\n") == 1
+
+
 def test_deep_exponent_prints_without_a_traceback():
     group = "2:" + ",".join(["0"] * 1199 + ["1"])
     proc = subprocess.run(

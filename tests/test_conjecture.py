@@ -1,5 +1,6 @@
 import gc
 from functools import reduce
+from heapq import merge
 from itertools import product
 from math import gcd
 from operator import or_
@@ -13,7 +14,9 @@ from genus_spectrum import (
     HalfInt,
     InputError,
     OutOfFamilyError,
+    OutOfRangeError,
     UnsupportedError,
+    VerificationError,
     e3_family,
     genus_progression,
     has_large_invariants,
@@ -25,9 +28,15 @@ from genus_spectrum import (
     spectra_equal,
     varying_exponent_pair,
 )
-from genus_spectrum.conjecture import _Side
+from genus_spectrum.conjecture import _overlap_classes, _search_class, _Side, _value_offset
 
-from helpers import bitset_join, envelope_tables, free_vectors, weights
+from helpers import (
+    bitset_join,
+    envelope_tables,
+    free_vectors,
+    overlap_windows_by_scan,
+    weights,
+)
 
 
 def test_rho():
@@ -493,3 +502,106 @@ def test_count_cut_tries_few_counts_at_the_roots(monkeypatch):
     monkeypatch.setattr(_Side, "_counts", recording_counts)
     assert len(search_counterexamples(2, 8, 7, 8220, RELATION_MIXED)) == 1
     assert tried and sum(tried) < 100
+
+
+def _relation_classes(p, e, et):
+    # (side1, side2, deficiency offset) per row of the search's relation table
+    rows = [((2, 1), (2, 1), 0), ((1, 1), (1, 1), 0), ((2, 2), (1, 1), -1)] if p == 2 else [
+        ((p - 2, 1), (p - 2, 1), 0)
+    ]
+    for spec1, spec2, offset in rows:
+        side1 = _Side(p, e, *spec1)
+        yield side1, side1 if (e, spec1) == (et, spec2) else _Side(p, et, *spec2), offset
+
+
+def test_overlap_listing_matches_the_scan():
+    # the residue-class listing and its closed-form summed width against the
+    # scan of tests/helpers.py on every relation class, the coinless pinned
+    # p = 2, e = 1 side and the mixed offset -1 included, at the class's own
+    # value offset and shifted ones, for deficiency bounds below, at and past
+    # the floors
+    checked = coinless = 0
+    for p in (2, 3, 5, 7):
+        for e in range(1, 6):
+            for et in range(1, e + 1):
+                for side1, side2, offset in _relation_classes(p, e, et):
+                    coinless += not (side1.coins and side2.coins)
+                    own = (side2.scale * side2.base_twice - side1.scale * side1.base_twice) // (
+                        side1.unit or side2.unit or 1
+                    )
+                    floor = max(side1.delta0, side2.delta0 - offset)
+                    for delta_max in (floor - 1, floor, floor + 7, floor + 90, floor + 400):
+                        for off in (own - 40, own - 1, own, own + 1, own + 40):
+                            args = (side1, side2, offset, delta_max, off)
+                            classes, width = _overlap_classes(*args)
+                            expected = overlap_windows_by_scan(*args)
+                            assert list(merge(*classes)) == [d for d, _, _ in expected], args
+                            assert width == sum(hi - lo + 1 for _, lo, hi in expected), args
+                            checked += len(expected)
+    assert coinless and checked > 50000
+
+
+@pytest.mark.parametrize(
+    "p, e, et, delta_max, count",
+    [(3, 5, 4, 350, 164), (7, 9, 8, 3725, 67), (11, 13, 12, 19629, 177), (13, 15, 14, 36719, 250)],
+)
+def test_overlap_listing_counts_passing_deficiencies(p, e, et, delta_max, count):
+    # the listing alone, with no memo: odd p has the one same-lattice class
+    ((side1, side2, offset),) = _relation_classes(p, e, et)
+    classes, _ = _overlap_classes(side1, side2, offset, delta_max, _value_offset(side1, side2))
+    assert sum(map(len, classes)) == count
+
+
+def test_overlap_listing_of_the_mixed_search():
+    # one deficiency of 8 185 passes at (2, 8, 7, 8220, mixed), one value wide
+    side1, side2 = _Side(2, 8, 2, 2), _Side(2, 7, 1, 1)
+    classes, width = _overlap_classes(side1, side2, -1, 8220, _value_offset(side1, side2))
+    assert (list(merge(*classes)), width) == ([8220], 1)
+
+
+def test_search_reads_few_envelopes_at_weight_zero(monkeypatch):
+    # testing every deficiency up to 8 220 took 16 370 envelopes of coin 1 on;
+    # the listing reads four for the slopes, two per residue class and two
+    # per passing deficiency
+    calls = []
+    envelope = _Side._envelope
+
+    def counting_envelope(self, j, d):
+        if j == 0:
+            calls.append(d)
+        return envelope(self, j, d)
+
+    monkeypatch.setattr(_Side, "_envelope", counting_envelope)
+    assert len(search_counterexamples(2, 8, 7, 8220, RELATION_MIXED)) == 1
+    assert calls and len(calls) < 200
+
+
+def test_listed_windows_are_checked_against_the_envelopes():
+    # each window is recomputed from the envelopes at its deficiency: a listed
+    # deficiency whose envelopes miss, or a summed width the windows do not
+    # add up to, is a broken listing, not an empty one
+    ((side1, side2, offset),) = _relation_classes(3, 5, 4)
+    off = _value_offset(side1, side2)
+    classes, width = _overlap_classes(side1, side2, offset, 350, off)
+    assert len(_search_class(side1, side2, offset, off, classes, width, RELATION_SAME)) == 7205
+    listed = set(merge(*classes))
+    missing = next(d for d in range(side1.delta0, 351) if d not in listed)
+    broken = classes + [range(missing, missing + 1)]
+    with pytest.raises(VerificationError, match=f"deficiency {missing}"):
+        _search_class(side1, side2, offset, off, broken, width, RELATION_SAME)
+    with pytest.raises(VerificationError, match="summed width"):
+        _search_class(side1, side2, offset, off, classes, width + 1, RELATION_SAME)
+
+
+def test_search_refuses_oversized_windows_before_any_memo(monkeypatch):
+    # the p = 11 series search sums 3.35 * 10^14 window units, a search up to
+    # deficiency 10^12 far more; both are refused from the closed-form
+    # listing, before any reach set or memo key exists
+    def no_reach(self, *args):
+        raise AssertionError("reach ran before the preflight")
+
+    monkeypatch.setattr(_Side, "reach", no_reach)
+    with pytest.raises(OutOfRangeError, match="177 deficiencies .* 335495427835587 units"):
+        search_counterexamples(11, 13, 12, 19629)
+    with pytest.raises(OutOfRangeError, match="up to 1000000000000 "):
+        search_counterexamples(3, 5, 4, 10**12)
