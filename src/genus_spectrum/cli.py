@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import conjecture, group, mainline, mingenus, signature, spectrum
 from .errors import GenusSpectrumError, InputError
-from .halfint import HalfInt
+from .halfint import HalfInt, twice_text
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
@@ -126,7 +126,7 @@ def _cmd_spectrum(args) -> int:
         "genus_gaps": [str(g) for g in view.gap_genera],
         "sp": view.render(),
     }
-    gaps = ",".join(str(g) for g in desc.gaps_reduced)
+    gaps = ",".join(map(twice_text, desc.gaps_twice))
     text = [
         f"group = {G.encode()}",
         f"epsilon = {desc.epsilon}",

@@ -12,6 +12,14 @@ from dataclasses import dataclass
 from .errors import InputError
 
 
+def twice_text(twice: int) -> str:
+    """Text form of the half-integer twice/2: "n" when integral, "n/2" in
+    lowest terms otherwise."""
+    if twice % 2 == 0:
+        return str(twice // 2)
+    return f"{twice}/2"
+
+
 @dataclass(frozen=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
@@ -93,12 +101,10 @@ class HalfInt:
     def __ge__(self, other: "HalfInt | int") -> bool:
         return self.twice >= HalfInt.coerce(other).twice
 
-    # -- text form: "n" when integral, "n/2" in lowest terms otherwise -------
+    # -- text form: twice_text -----------------------------------------------
 
     def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return twice_text(self.twice)
 
     def __repr__(self) -> str:
         return f"HalfInt({self})"

@@ -21,9 +21,17 @@ enumeration below the proven enveloping bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
+from typing import Callable
 
-from .errors import InputError
+from .errors import InputError, OutOfRangeError, VerificationError
+
+# Most values one sieve may hold, at one byte each: the preflight limit of
+# mainline_profile, spectrum.full_spectrum and spectrum.oracle_reduced_spectrum.
+SIEVE_LIMIT = 10**6
+
+# bytes.translate table that turns a sieve's marks into its holes
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class _Infinity:
@@ -154,6 +162,39 @@ def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
     return [(c, v) for (c, _), v in lowest.items()]
 
 
+def _sieve_length(lo: int, hi: int, step: int, what: Callable[[], str]) -> int:
+    """Count of lo, lo + step, ... <= hi.  Above SIEVE_LIMIT it raises
+    OutOfRangeError, naming the job by what(), which only then is called."""
+    n = max((hi - lo) // step + 1, 0)
+    if n > SIEVE_LIMIT:
+        raise OutOfRangeError(f"{what()} spans {n} values, over the limit of {SIEVE_LIMIT}")
+    return n
+
+
+def _sieve(progressions, lo: int, step: int, n: int) -> bytearray:
+    """Byte k is 1 when lo + k * step lies on one of the progressions.
+
+    Each (c, v) from `_progressions` is marked by one slice assignment.  A
+    progression off the lattice lo + step * N_0 raises VerificationError.
+    """
+    sieve = bytearray(n)
+    ones = memoryview(b"\1" * n)
+    for c, v in progressions:
+        k, off = divmod(v - lo, step)
+        if k < 0 or off or c % step:
+            raise VerificationError(f"progression {v} + {c}N_0 leaves the lattice {lo} + {step}N_0")
+        if k < n:
+            stride = c // step
+            sieve[k::stride] = ones[: (n - 1 - k) // stride + 1]
+    return sieve
+
+
+def _holes(sieve: bytearray, lo: int, step: int, first: int) -> tuple[int, ...]:
+    """The values lo + k * step, k >= first, left unmarked in the sieve."""
+    values = range(lo + first * step, lo + len(sieve) * step, step)
+    return tuple(compress(values, sieve[first:].translate(_FLIP)))
+
+
 def _mainline_progressions(p: int, t: IntSeq, bound: int) -> list[tuple[int, int]]:
     # wp(b) = sum(y_j * q_j) over y_j >= 0 with y_i + ... + y_e >= t_i
     # q_j = wp(1^j 0^(e-j)) = q_(j-1) + p^(e-j)
@@ -195,16 +236,18 @@ def mainline_profile(p: int, entries) -> MainlineProfile:
     mu is wp of the hull.  Every integer >= wp of the p-enveloping sequence
     of the hull is a member, so enumerating up to that bound finds all
     non-members; sigma is one past the largest of them (mu itself when
-    there are none above mu).
+    there are none above mu).  The members below the bound are marked in a
+    sieve of one byte per integer from mu on, so above SIEVE_LIMIT = 10^6
+    integers between mu and that bound it raises OutOfRangeError before
+    enumerating anything.
     """
     if p < 2:
         raise InputError(f"mainline profile needs p >= 2, got {p}")
     t = hull(entries)
     mu = wp_eval(p, t)
     upper = wp_eval(p, envelope(p, t))
-    members: set[int] = set()
-    for c, v in _mainline_progressions(p, t, upper - 1):
-        members.update(range(v, upper, c))
-    gaps = tuple(m for m in range(mu + 1, upper) if m not in members)
+    n = _sieve_length(mu, upper - 1, 1, lambda: f"the mainline profile of {t} at p = {p}")
+    sieve = _sieve(_mainline_progressions(p, t, upper - 1), mu, 1, n)
+    gaps = _holes(sieve, mu, 1, 1)
     sigma = gaps[-1] + 1 if gaps else mu
     return MainlineProfile(mu=mu, sigma=sigma, gaps=gaps)

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
 from .group import AbelianPGroup, e_prime, top_pair_index
-from .halfint import HalfInt
+from .halfint import HalfInt, twice_text
 from .mainline import is_nonincreasing, wp_eval
 
 GammaSeq = tuple[int, ...]
@@ -106,10 +106,17 @@ def reduced_genus(G: AbelianPGroup, d: PDatum) -> HalfInt:
 
 def genus_of(p_delta: int, v: HalfInt) -> int:
     """The genus 1 + p^delta * v lifted from the reduced genus v."""
-    twice = 2 + p_delta * v.twice
-    if twice % 2 != 0:
-        raise VerificationError(f"reduced genus {v} has a non-integral lift at p^delta = {p_delta}")
-    return twice // 2
+    return genus_of_twice(p_delta, v.twice)
+
+
+def genus_of_twice(p_delta: int, twice: int) -> int:
+    """genus_of for the reduced genus twice/2, given by its doubled value."""
+    lifted = 2 + p_delta * twice
+    if lifted % 2 != 0:
+        raise VerificationError(
+            f"reduced genus {twice_text(twice)} has a non-integral lift at p^delta = {p_delta}"
+        )
+    return lifted // 2
 
 
 def genus(G: AbelianPGroup, d: PDatum) -> int:

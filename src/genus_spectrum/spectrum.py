@@ -12,6 +12,17 @@ tail-sum bounds are its loops' lower limits, and the last coordinate is
 taken as a whole arithmetic progression.  The tests cross-check it against
 a per-datum application of the criterion.
 
+Each progression is marked in a sieve, one byte per value of the lattice
+from its least value -1 (doubled: -2 // epsilon) up to B, by one slice
+assignment.  The minimum is the first mark and the gaps are the holes after
+it, read in one pass and kept as doubled ints: a descriptor built by the
+scan makes its HalfInt gaps only when gaps_reduced is read, and the genus
+view and the CLI lift and print the ints directly.  A sieve longer than
+SIEVE_LIMIT = 10^6 values is refused with OutOfRangeError before anything
+is enumerated.  In the tests and the benchmark the longest scan sieve has
+38 456 values (13:0,0,1 up to its B) and the longest oracle sieve 200 002
+(2:1 up to 200 000).
+
 The scan is self-certifying: adding 2 to every coordinate of an
 admissibility block element stays in the block and raises the reduced
 genus by exactly p^e, so once a full window of length p^e below B is
@@ -24,13 +35,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup, e_prime, kulkarni_n
-from .halfint import HalfInt
-from .mainline import _progressions, envelope, hull, wp_eval
+from .halfint import HalfInt, twice_text
+from .mainline import _holes, _progressions, _sieve, _sieve_length, envelope, hull, wp_eval
 from .mingenus import mu0
-from .signature import genus_of, period_weights
+from .signature import genus_of, genus_of_twice, period_weights
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,12 @@ class SpectrumDescriptor:
     and stable_reduced exactly the listed gaps are absent.  verified_bound
     records how far an exhaustive scan confirmed membership (None when the
     closed form proves the whole tail).
+
+    gaps_twice holds the gaps as doubled ints, in the order of gaps_reduced.
+    A scan builds its descriptor from those ints alone (`_from_twice`), and
+    its gaps_reduced is made from them on first read; it equals, hashes and
+    reprs like the one passed to the public constructor.  Both routes run
+    the same checks, once, on the doubled values.
     """
 
     epsilon: int
@@ -50,14 +68,48 @@ class SpectrumDescriptor:
     verified_bound: HalfInt | None
 
     def __post_init__(self) -> None:
+        self._check(tuple(g.twice for g in self.gaps_reduced))
+
+    @classmethod
+    def _from_twice(
+        cls,
+        epsilon: int,
+        min_twice: int,
+        stable_twice: int,
+        gaps_twice: tuple[int, ...],
+        verified_bound: HalfInt | None,
+    ) -> "SpectrumDescriptor":
+        # every field but gaps_reduced, stored as the frozen __init__ stores them
+        desc = cls.__new__(cls)
+        desc.__dict__.update(
+            epsilon=epsilon,
+            min_reduced=HalfInt(min_twice),
+            stable_reduced=HalfInt(stable_twice),
+            verified_bound=verified_bound,
+        )
+        desc._check(gaps_twice)
+        return desc
+
+    def _check(self, gaps_twice: tuple[int, ...]) -> None:
         if self.epsilon not in (1, 2):
             raise InputError(f"epsilon must be 1 or 2, got {self.epsilon}")
-        for v in (self.min_reduced, self.stable_reduced, *self.gaps_reduced):
+        for v in (self.min_reduced, self.stable_reduced):
             if not self.in_lattice(v):
                 raise InputError(f"{v} is not in the epsilon={self.epsilon} lattice")
-        lo, hi = self.min_reduced.twice, self.stable_reduced.twice
-        if any(not lo < g.twice < hi for g in self.gaps_reduced):
-            raise InputError("gaps must lie strictly between minimum and stable value")
+        lo, hi, step = self.min_reduced.twice, self.stable_reduced.twice, 2 // self.epsilon
+        for t in gaps_twice:
+            if t % step:
+                raise InputError(f"{twice_text(t)} is not in the epsilon={self.epsilon} lattice")
+            if not lo < t < hi:
+                raise InputError("gaps must lie strictly between minimum and stable value")
+        self.__dict__["gaps_twice"] = gaps_twice
+
+    def __getattr__(self, name: str):
+        # only reached when the field is unset: a descriptor from _from_twice
+        if name != "gaps_reduced" or "gaps_twice" not in self.__dict__:
+            raise AttributeError(name)
+        gaps = self.__dict__[name] = tuple(map(HalfInt, self.gaps_twice))
+        return gaps
 
     @property
     def step(self) -> HalfInt:
@@ -73,17 +125,17 @@ class SpectrumDescriptor:
         return self.epsilon == 2 or v.twice % 2 == 0
 
     @cached_property
-    def _gaps_twice(self) -> frozenset[int]:
-        return frozenset(g.twice for g in self.gaps_reduced)
+    def _gap_set(self) -> frozenset[int]:
+        return frozenset(self.gaps_twice)
 
     def contains_reduced(self, v: HalfInt | int) -> bool:
         v = HalfInt.coerce(v)
         if not self.in_lattice(v) or v < self.min_reduced:
             return False
-        return v >= self.stable_reduced or v.twice not in self._gaps_twice
+        return v >= self.stable_reduced or v.twice not in self._gap_set
 
     def reduced_values_up_to(self, bound: HalfInt | int) -> tuple[HalfInt, ...]:
-        gaps = self._gaps_twice
+        gaps = self._gap_set
         span = range(self.min_reduced.twice, HalfInt.coerce(bound).twice + 1, self.step.twice)
         return tuple(HalfInt(t) for t in span if t not in gaps)
 
@@ -92,7 +144,7 @@ class SpectrumDescriptor:
             "epsilon": self.epsilon,
             "min": str(self.min_reduced),
             "stable": str(self.stable_reduced),
-            "gaps": [str(g) for g in self.gaps_reduced],
+            "gaps": [twice_text(t) for t in self.gaps_twice],
             "verified_bound": "inf" if self.verified_bound is None else str(self.verified_bound),
         }
 
@@ -121,16 +173,28 @@ def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
     )
 
 
-def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> set[int]:
-    """Doubled reduced genera <= twice_bound of all admissible data.
+def _lattice(epsilon: int) -> tuple[int, int]:
+    """Doubled least value and step of the reduced lattice (1/epsilon)({-1} u N_0)."""
+    return -2 // epsilon, 2 // epsilon
+
+
+def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> bytearray:
+    """Sieve of the doubled reduced genera <= twice_bound of all admissible
+    data: byte k marks lo + k * step, with (lo, step) = _lattice(G.epsilon).
 
     Only admissible data are enumerated: the criterion's tail-sum bounds
     2h + x_i + ... + x_f >= s_i are the loops' lower limits.  The period-free
     datum counts when 2h >= s_1 - 1, which gives one progression in h.
     Otherwise the top period index f is fixed (2h >= s_{f+1} - 1), x_f
     starts at max(2, s_f - 2h) (even, stepping by 2, for p = 2 above e'),
-    and the lower x_i are left to the shared engine `_progressions`.
+    and the lower x_i are left to the shared engine `_progressions`.  Above
+    SIEVE_LIMIT lattice values up to the bound it raises OutOfRangeError
+    before enumerating anything.
     """
+    lo, step = _lattice(G.epsilon)
+    n = _sieve_length(
+        lo, twice_bound, step, lambda: f"the scan of {G} up to {twice_text(twice_bound)}"
+    )
     p, e = G.p, G.e
     pe = p**e
     s = G.s
@@ -145,10 +209,7 @@ def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> set[int]:
     ]
     progressions = _progressions(period_weights(p, e), s, twice_bound, starts)
     progressions.append((2 * pe, 2 * (s[0] // 2 - 1) * pe))
-    found: set[int] = set()
-    for c, v in progressions:
-        found.update(range(v, twice_bound + 1, c))
-    return found
+    return _sieve(progressions, lo, step, n)
 
 
 def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[HalfInt, ...]:
@@ -157,12 +218,16 @@ def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[Hal
     Every coordinate of the reduced genus map has a positive coefficient
     (p^e for h, (p^e - p^{e-i})/2 for x_i), so coordinates are bounded by
     the target.  The criterion is never tested per datum: its tail-sum
-    bounds are the loops' lower limits (see `_admissible_twice`).
+    bounds are the loops' lower limits (see `_admissible_twice`).  Above
+    SIEVE_LIMIT = 10^6 lattice values up to the bound it raises
+    OutOfRangeError.
     """
     bound = HalfInt.coerce(bound)
     if bound < HalfInt(-2):
         raise OutOfRangeError(f"bound must be >= -1, got {bound}")
-    return tuple(HalfInt(t) for t in sorted(_admissible_twice(G, bound.twice)))
+    lo, step = _lattice(G.epsilon)
+    sieve = _admissible_twice(G, bound.twice)
+    return tuple(map(HalfInt, compress(range(lo, bound.twice + 1, step), sieve)))
 
 
 def scan_bound(G: AbelianPGroup) -> HalfInt:
@@ -186,39 +251,36 @@ def scan_bound(G: AbelianPGroup) -> HalfInt:
 
 
 def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
-    """Exact spectrum descriptor for an arbitrary abelian p-group."""
+    """Exact spectrum descriptor for an arbitrary abelian p-group.
+
+    Outside the large-invariant family the lattice is sieved up to
+    scan_bound(G); above SIEVE_LIMIT = 10^6 lattice values up to that bound
+    it raises OutOfRangeError before enumerating anything.
+    """
     if has_large_invariants(G):
         return closed_form_spectrum(G)
 
     bound = scan_bound(G)
-    present = _admissible_twice(G, bound.twice)
-    if not present:
+    sieve = _admissible_twice(G, bound.twice)
+    first = sieve.find(1)
+    if first < 0:
         raise VerificationError(f"no admissible data below {bound} for {G}")
 
-    eps = G.epsilon
-    step_twice = 2 // eps
-    absent = [t for t in range(-2 // eps, bound.twice + 1, step_twice) if t not in present]
-
-    window_low = bound - G.p**G.e
-    bad = [HalfInt(t) for t in absent if t >= window_low.twice]
-    if bad:
+    lo, step = _lattice(G.epsilon)
+    window_low = bound.twice - 2 * G.p**G.e
+    # a hole at or after the first lattice value >= window_low
+    hole = sieve.find(0, max(-((lo - window_low) // step), 0))
+    if hole >= 0:
+        bad = [HalfInt(t) for t in _holes(sieve, lo, step, hole)[:5]]
         raise VerificationError(
-            f"scan window [{window_low}, {bound}] for {G} is incomplete at {bad[:5]}; "
+            f"scan window [{twice_text(window_low)}, {bound}] for {G} is incomplete at {bad}; "
             "the completeness bound is too small"
         )
 
-    min_twice = min(present)
-    if not absent and min_twice != -2 // eps:
-        raise VerificationError(
-            f"gap-free scan of {G} starts at {HalfInt(min_twice)}, not at the lattice minimum"
-        )
-    stable_twice = absent[-1] + step_twice if absent else min_twice
-    return SpectrumDescriptor(
-        epsilon=eps,
-        min_reduced=HalfInt(min_twice),
-        stable_reduced=HalfInt(max(stable_twice, min_twice)),
-        gaps_reduced=tuple(HalfInt(t) for t in absent if t > min_twice),
-        verified_bound=bound,
+    min_twice = lo + first * step
+    gaps = _holes(sieve, lo, step, first + 1)
+    return SpectrumDescriptor._from_twice(
+        G.epsilon, min_twice, gaps[-1] + step if gaps else min_twice, gaps, bound
     )
 
 
@@ -351,6 +413,6 @@ def genus_view(G: AbelianPGroup, desc: SpectrumDescriptor) -> GenusView:
         min_genus=min_genus,
         step=step,
         stable_genus=genus_of(pd, desc.stable_reduced),
-        gap_genera=tuple(genus_of(pd, v) for v in desc.gaps_reduced),
+        gap_genera=tuple(genus_of_twice(pd, t) for t in desc.gaps_twice),
         ambient_is_n0=ambient,
     )

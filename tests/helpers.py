@@ -55,6 +55,15 @@ def naive_mainline_members(p: int, a, limit: int) -> set[int]:
     return out
 
 
+def marks_by_sets(progressions, lo: int, step: int, n: int) -> bytearray:
+    """The sieve of lo, lo + step, ... (n values) with 1 where some
+    progression (c, v) lands, by collecting every value in a set."""
+    found: set[int] = set()
+    for c, v in progressions:
+        found.update(range(v, lo + n * step, c))
+    return bytearray(lo + k * step in found for k in range(n))
+
+
 def weights(p: int, e: int) -> list[int]:
     """The period weights p^e - p^{e-i}, i = 1..e."""
     pe = p**e

@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -219,6 +220,32 @@ def test_oversized_search_exits_1_without_a_traceback():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: 99386 deficiencies") and proc.stderr.count("\n") == 1
+
+
+def _capped_memory():
+    # a runaway engine fails fast instead of exhausting the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+def test_oversized_sieves_exit_1_without_a_traceback():
+    # each sieve would hold far more than SIEVE_LIMIT values; each refuses first
+    for argv, what in (
+        (["spectrum", "1000003:0,1"], "the scan of 1000003:0,1"),
+        (["oracle", "2:1", "--bound", "100000000"], "the scan of 2:1 up to 100000000"),
+        (["mainline", "1000,0", "--p", "1000003"], "the mainline profile of (1000, 0)"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "genus_spectrum", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_capped_memory,
+        )
+        assert proc.returncode == 1, argv
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith(f"error: {what}"), proc.stderr[-300:]
+        assert proc.stderr.endswith("over the limit of 1000000\n"), proc.stderr[-300:]
+        assert proc.stderr.count("\n") == 1, argv
 
 
 def test_deep_exponent_prints_without_a_traceback():

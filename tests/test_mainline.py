@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from genus_spectrum import (
     INFINITY,
     InputError,
+    OutOfRangeError,
     envelope,
     gap_norm,
     hull,
@@ -79,6 +80,16 @@ def test_profile_examples():
     p = mainline_profile(3, (4, 2))
     assert (p.mu, p.sigma, p.gaps) == (14, 14, ())
     assert mainline_profile(2, (1, 3, 2)) == mainline_profile(2, (3, 3, 2))
+
+
+def test_profile_refuses_an_oversized_sieve(monkeypatch):
+    # wp(envelope) - mu is about 10^12 integers; nothing is enumerated
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the preflight")
+
+    monkeypatch.setattr(mainline, "_progressions", enumerate_nothing)
+    with pytest.raises(OutOfRangeError, match="over the limit of 1000000"):
+        mainline_profile(1000003, (1000, 0))
 
 
 @given(seqs)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -10,6 +12,7 @@ from genus_spectrum import (
     SmallClass,
     SpectrumDescriptor,
     UnsupportedError,
+    VerificationError,
     classify_small,
     closed_form_spectrum,
     full_spectrum,
@@ -23,7 +26,9 @@ from genus_spectrum import (
     parse_group,
     spectrum_bound_formula,
 )
-from helpers import admissible_values, all_groups, block_route_values
+from genus_spectrum import mainline as mainline_module
+from genus_spectrum import spectrum as spectrum_module
+from helpers import admissible_values, all_groups, block_route_values, marks_by_sets
 
 
 def hi(v):  # doubled-value literal
@@ -100,29 +105,33 @@ def test_oracle_far_beyond_the_scan_bound():
     assert oracle_reduced_spectrum(G, d.verified_bound) == d.reduced_values_up_to(d.verified_bound)
 
 
+# 0, 1, 3, 4 and on: epsilon = 1, minimum 0, stable 3, gap 2
+GOOD_DESCRIPTOR = dict(
+    epsilon=1,
+    min_reduced=HalfInt.of(0),
+    stable_reduced=HalfInt.of(3),
+    gaps_reduced=(HalfInt.of(2),),
+    verified_bound=None,
+)
+INVALID_CHANGES = (
+    dict(epsilon=3),
+    dict(min_reduced=hi(1)),  # 1/2 is off the integer lattice
+    dict(min_reduced=HalfInt.of(-2)),  # below the lattice minimum -1
+    dict(epsilon=2, min_reduced=hi(-3)),  # below the lattice minimum -1/2
+    dict(stable_reduced=hi(7)),
+    dict(gaps_reduced=(HalfInt.of(2), hi(3))),
+    dict(gaps_reduced=(HalfInt.of(0),)),  # at the minimum
+    dict(gaps_reduced=(HalfInt.of(3),)),  # at the stable value
+    dict(gaps_reduced=(HalfInt.of(-1),)),  # below the minimum
+    dict(gaps_reduced=(HalfInt.of(4),)),  # above the stable value
+)
+
+
 def test_descriptor_constructor_checks():
-    # 0, 1, 3, 4 and on: epsilon = 1, minimum 0, stable 3, gap 2
-    good = dict(
-        epsilon=1,
-        min_reduced=HalfInt.of(0),
-        stable_reduced=HalfInt.of(3),
-        gaps_reduced=(HalfInt.of(2),),
-        verified_bound=None,
-    )
+    good = GOOD_DESCRIPTOR
     d = SpectrumDescriptor(**good)
     assert d.reduced_values_up_to(5) == tuple(map(HalfInt.of, (0, 1, 3, 4, 5)))
-    for change in (
-        dict(epsilon=3),
-        dict(min_reduced=hi(1)),  # 1/2 is off the integer lattice
-        dict(min_reduced=HalfInt.of(-2)),  # below the lattice minimum -1
-        dict(epsilon=2, min_reduced=hi(-3)),  # below the lattice minimum -1/2
-        dict(stable_reduced=hi(7)),
-        dict(gaps_reduced=(HalfInt.of(2), hi(3))),
-        dict(gaps_reduced=(HalfInt.of(0),)),  # at the minimum
-        dict(gaps_reduced=(HalfInt.of(3),)),  # at the stable value
-        dict(gaps_reduced=(HalfInt.of(-1),)),  # below the minimum
-        dict(gaps_reduced=(HalfInt.of(4),)),  # above the stable value
-    ):
+    for change in INVALID_CHANGES:
         with pytest.raises(InputError):
             SpectrumDescriptor(**{**good, **change})
 
@@ -131,6 +140,116 @@ def test_descriptor_constructor_checks():
     moved = dataclasses.replace(d, gaps_reduced=(HalfInt.of(1),))
     assert moved.contains_reduced(2) and not moved.contains_reduced(1)
     assert moved.reduced_values_up_to(5) == tuple(map(HalfInt.of, (0, 2, 3, 4, 5)))
+
+
+def _from_twice(fields):
+    # the scan's constructor, given the public constructor's arguments
+    return SpectrumDescriptor._from_twice(
+        fields["epsilon"],
+        fields["min_reduced"].twice,
+        fields["stable_reduced"].twice,
+        tuple(g.twice for g in fields["gaps_reduced"]),
+        fields["verified_bound"],
+    )
+
+
+def test_descriptor_from_doubled_ints_runs_every_check():
+    assert _from_twice(GOOD_DESCRIPTOR) == SpectrumDescriptor(**GOOD_DESCRIPTOR)
+    for change in INVALID_CHANGES:
+        with pytest.raises(InputError):
+            _from_twice({**GOOD_DESCRIPTOR, **change})
+
+
+def test_scan_keeps_its_gaps_as_doubled_ints(monkeypatch):
+    # 17 268 gaps: the scan builds no HalfInt per gap
+    made = []
+    check = HalfInt.__post_init__
+
+    def counting_check(v):
+        made.append(v.twice)
+        check(v)
+
+    monkeypatch.setattr(HalfInt, "__post_init__", counting_check)
+    d = full_spectrum(parse_group("13:0,0,1"))
+    assert len(made) < 100
+    assert len(d.gaps_twice) == 17268 and "gaps_reduced" not in vars(d)
+
+
+def test_lazy_gaps_match_the_public_constructor():
+    # integral gaps at epsilon = 1, half-integral ones at epsilon = 2
+    for enc in ("3:0,0,0,0,0,1", "2:0,0,3"):
+        G = parse_group(enc)
+        d = full_spectrum(G)
+        public = SpectrumDescriptor(
+            d.epsilon,
+            d.min_reduced,
+            d.stable_reduced,
+            tuple(HalfInt(t) for t in d.gaps_twice),
+            d.verified_bound,
+        )
+        # each comparison on a descriptor whose gaps_reduced was never read
+        assert full_spectrum(G) == public and public == full_spectrum(G), enc
+        assert hash(full_spectrum(G)) == hash(public), enc
+        assert repr(full_spectrum(G)) == repr(public), enc
+        assert pickle.loads(pickle.dumps(full_spectrum(G))) == public, enc
+        assert copy.copy(full_spectrum(G)) == dataclasses.replace(full_spectrum(G)) == public
+        assert d.gaps_reduced is d.gaps_reduced
+        assert d.gaps_reduced == public.gaps_reduced and d.gaps_twice == public.gaps_twice
+        assert d.to_json_dict() == public.to_json_dict(), enc
+    with pytest.raises(AttributeError):
+        getattr(full_spectrum(parse_group("2:0,2")), "no_such_field")
+
+
+def test_scan_window_check_fires_on_a_short_bound(monkeypatch):
+    # 1 and 4 are gaps of 3:0,1, so a bound of 9 leaves them in the window [0, 9]
+    monkeypatch.setattr(spectrum_module, "scan_bound", lambda G: HalfInt.of(9))
+    with pytest.raises(VerificationError, match=r"incomplete at \[HalfInt\(1\), HalfInt\(4\)\]"):
+        full_spectrum(parse_group("3:0,1"))
+
+
+def test_scan_and_oracle_refuse_oversized_sieves(monkeypatch):
+    # the preflight runs before any enumeration
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the preflight")
+
+    monkeypatch.setattr(spectrum_module, "_progressions", enumerate_nothing)
+    with pytest.raises(OutOfRangeError, match="1000003:0,1"):
+        full_spectrum(parse_group("1000003:0,1"))  # B is about 10^18
+    with pytest.raises(OutOfRangeError, match="over the limit of 1000000"):
+        oracle_reduced_spectrum(parse_group("2:1"), 10**8)
+    # one value past the limit: 2:1 has the integer lattice from -1 on
+    limit = mainline_module.SIEVE_LIMIT
+    with pytest.raises(OutOfRangeError, match="spans 1000001 values"):
+        oracle_reduced_spectrum(parse_group("2:1"), limit - 1)
+    assert mainline_module._sieve_length(0, limit - 1, 1, str) == limit
+    with pytest.raises(OutOfRangeError):
+        mainline_module._sieve_length(0, limit, 1, str)
+
+
+def test_sieve_matches_marking_by_sets(monkeypatch):
+    seen = []
+    sieve = spectrum_module._sieve
+
+    def recording(*args):
+        seen.append((args, sieve(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(spectrum_module, "_sieve", recording)
+    for enc, bound in (("13:0,0,1", 400), ("2:0,0,3", 99), ("3:1,1", 0), ("5:0,1", -1)):
+        oracle_reduced_spectrum(parse_group(enc), bound)
+    full_spectrum(parse_group("3:0,0,0,0,0,1"))
+    assert len(seen) == 5
+    # progressions starting one step before, at and past the sieve's last value
+    short = ([(4, 8), (2, 10), (6, 100)], 0, 2, 6)
+    seen.append((short, sieve(*short)))
+    for args, marks in seen:
+        assert marks == marks_by_sets(*args), args[1:]
+
+
+def test_sieve_refuses_a_progression_off_the_lattice():
+    for progressions in ([(2, -4)], [(2, 1)], [(3, 0)]):
+        with pytest.raises(VerificationError):
+            spectrum_module._sieve(progressions, -2, 2, 10)
 
 
 def test_full_spectrum_anchors():
