@@ -141,13 +141,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_oracle(args) -> int:
     G = group.parse_group(args.group)
     bound = HalfInt.parse(args.bound)
-    values = spectrum.oracle_reduced_spectrum(G, bound)
-    payload = {
-        "group": G.encode(),
-        "bound": str(bound),
-        "values": [str(v) for v in values],
-    }
-    text = [f"group = {G.encode()}", "values = {" + ",".join(str(v) for v in values) + "}"]
+    values = [str(v) for v in spectrum.oracle_reduced_spectrum(G, bound)]
+    payload = {"group": G.encode(), "bound": str(bound), "values": values}
+    text = [f"group = {G.encode()}", "values = {" + ",".join(values) + "}"]
     return _emit(args, payload, text)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     InputError,
@@ -60,6 +61,10 @@ RELATION_MIXED = "equal_spectrum_p2_mixed"
 # Most overlap-window units, summed over every deficiency and relation class,
 # that one search may work on (see search_counterexamples).
 SEARCH_WIDTH_LIMIT = 10**9
+
+# Most pairs, summed over every relation class, that one search may list (see
+# search_counterexamples).
+PAIR_LIMIT = 10**5
 
 
 def rho(p: int) -> tuple[int, int, int]:
@@ -99,8 +104,14 @@ def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     """(start, step) with sp(G) = start + step * N_0, for large invariants."""
     if not has_large_invariants(G):
         raise UnsupportedError(f"{G} does not satisfy the large-invariant hypothesis")
-    pd = G.p_delta
-    return genus_of(pd, reduced_min_large(G)), kulkarni_n(pd, G.epsilon)
+    return _lift(G.p_delta, reduced_min_large(G), G.epsilon)
+
+
+def _lift(p_delta: int, mu: HalfInt, epsilon: int) -> tuple[int, int]:
+    """The genus progression (1 + p^delta mu, p^delta / epsilon) of a group
+    with large invariants, reduced minimum mu and the given p^delta and
+    epsilon."""
+    return genus_of(p_delta, mu), kulkarni_n(p_delta, epsilon)
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
@@ -158,7 +169,8 @@ class _Side:
     of 1 pins r_e = 1, so coin e is left out.  The least and the greatest
     value at each weight are closed forms (`_envelope`), so set-up needs no
     deficiency bound.  The caller chooses the window of values, inside the
-    envelope; the memo never keeps a root (`_window`).
+    envelope; the memo never keeps a root (`_window`), but the side keeps
+    the last root `reach` built, for the witness walk on the same window.
     A memo state tries only the counts of its coin whose value-per-weight
     bounds meet its window (`_counts`); the others have no child to keep.
     """
@@ -180,10 +192,14 @@ class _Side:
 
         # value of the coin of weight i, with 0 at weight 0
         self._values = [0] + [v for _, v in self.coins]
+        # zero counts for the floors past the last coin (the pinned top)
+        self._pad = (0,) * (e - len(self.coins))
 
         # (coin index j, remaining weight rd, lo, hi) -> (bits, live children):
         # what coins j.. reach at weight rd in [lo, hi], see _window
         self._memo: dict[tuple[int, int, int, int], tuple[int, tuple]] = {}
+        # (key, entry) of the root that reach built last
+        self._root: tuple = (None, None)
 
     def _envelope(self, j: int, d: int) -> tuple[int, int] | None:
         """(least, greatest) value, in units, of the free vectors of weight d
@@ -308,7 +324,9 @@ class _Side:
         """Bitset, relative to lo, of the free values in [lo, hi] (in units)
         that the coins reach at exact weight d.  The window lies inside the
         envelope at d."""
-        return self._window((0, d, lo, hi))[0]
+        key = (0, d, lo, hi)
+        self._root = key, self._window(key)
+        return self._root[1][0]
 
     def witnesses(
         self, d: int, lo: int, hi: int, wanted: int
@@ -317,17 +335,20 @@ class _Side:
         units, lies in [lo, hi] and has its bit, relative to lo, set in
         `wanted`.  The window lies inside the envelope at d.
 
-        The walk follows the live children of the root entry from `_window`.
-        It carries the mask of still-wanted values and ANDs it with each
-        child's bits, so every node it visits lies on a path to an output.
-        Vectors come out in ascending order.
+        The walk follows the live children of the root entry: the one
+        `reach` built last when its window is this one, else a new one from
+        `_window`.  It carries the mask of still-wanted values and ANDs it
+        with each child's bits, so every node it visits lies on a path to an
+        output.  Vectors come out in ascending order.
         """
         coins, n = self.coins, len(self.coins)
         out: list[tuple[int, tuple[int, ...]]] = []
         # (live children, wanted bits relative to the node's lo, value so
         # far, prefix of t); a node of prefix length n is a leaf.  Children
         # are pushed in reverse so t comes out ascending
-        bits, live = self._window((0, d, lo, hi))
+        key = (0, d, lo, hi)
+        root_key, entry = self._root
+        bits, live = entry if root_key == key else self._window(key)
         mask = wanted & bits
         todo = [(live, mask, 0, ())] if mask else []
         while todo:
@@ -343,10 +364,8 @@ class _Side:
         return out
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
-        r = list(self.floors)
-        for (i, _), k in zip(self.coins, t):
-            r[i - 1] += k
-        return AbelianPGroup(self.p, tuple(r))
+        # coin i has weight i, so t[i - 1] counts the summands of order p^i
+        return AbelianPGroup(self.p, tuple(map(add, self.floors, t + self._pad)))
 
     def mu_of(self, units: int) -> HalfInt:
         value = units * self.unit
@@ -445,6 +464,25 @@ def _overlap_classes(
     return classes, width
 
 
+def _checked_progression(
+    gs: list[AbelianPGroup], delta: int, mu: HalfInt, p_delta: int
+) -> tuple[int, int]:
+    """The genus progression of the groups gs, which a witness walk found at
+    deficiency delta and reduced minimum mu: each must have large
+    invariants, that deficiency and that minimum, and all one epsilon, or
+    VerificationError is raised.  p_delta is p^delta."""
+    epsilon = gs[0].epsilon
+    for g in gs:
+        if not has_large_invariants(g):
+            raise VerificationError(f"search group {g} lacks large invariants")
+        if g.delta != delta or g.epsilon != epsilon or reduced_min_large(g) != mu:
+            raise VerificationError(
+                f"search group {g} does not have deficiency {delta}, mu_0 = {mu} "
+                f"and epsilon = {epsilon}"
+            )
+    return _lift(p_delta, mu, epsilon)
+
+
 def _search_class(
     side1: _Side,
     side2: _Side,
@@ -453,15 +491,22 @@ def _search_class(
     classes: list[range],
     width: int,
     relation: str,
+    budget: int = PAIR_LIMIT,
 ) -> list[CounterexamplePair]:
     """The pairs of one relation class, from its `_value_offset` and
-    `_overlap_classes`.
+    `_overlap_classes`, at most `budget` of them.
 
     The deficiencies of all residue classes are taken in ascending order, and
     each window is recomputed from the two envelopes at its deficiency: a
     listed deficiency whose envelopes miss, or windows whose widths do not
     sum to `width`, fail loudly.  On each window both sides reach values,
     and the witness walks recover the groups behind the values both reach.
+
+    Each value both reach is checked once, before its pairs are built: its
+    pair count joins a running total, and past `budget` OutOfRangeError is
+    raised; each group behind it is checked against the value's deficiency
+    and mu_0 (`_checked_progression`), and the two sides' genus
+    progressions must be equal, or VerificationError is raised.
     """
     shared = side1 is side2
 
@@ -489,10 +534,25 @@ def _search_class(
         # the witness walks return the matched values and no others
         groups1 = groups(side1, d1, lo, hi, matched)
         groups2 = groups1 if shared else groups(side2, d2, lo - off, hi - off, matched)
+        # p^delta of each side, read off one of its groups, which
+        # _checked_progression then checks for this deficiency
+        pd1 = next(iter(groups1.values()))[0].p_delta
+        pd2 = pd1 if shared else next(iter(groups2.values()))[0].p_delta
         for y1, gs1 in groups1.items():
+            gs2 = groups2[y1 - off]
+            budget -= len(gs1) * (len(gs1) - 1) // 2 if shared else len(gs1) * len(gs2)
+            if budget < 0:
+                raise OutOfRangeError(
+                    f"{relation} pairs up to deficiency {delta1} take the search past its "
+                    f"limit of {PAIR_LIMIT} pairs"
+                )
             mu1, mu2 = side1.mu_of(y1), side2.mu_of(y1 - off)
+            spectrum1 = _checked_progression(gs1, delta1, mu1, pd1)
+            spectrum2 = spectrum1 if shared else _checked_progression(gs2, delta2, mu2, pd2)
+            if spectrum1 != spectrum2:
+                raise VerificationError(f"search groups {gs1[0]} ~ {gs2[0]} have unequal spectra")
             for g1 in gs1:
-                for g2 in groups2[y1 - off]:
+                for g2 in gs2:
                     if not shared or g1.r < g2.r:
                         pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
     if width:
@@ -522,7 +582,17 @@ def search_counterexamples(
     the widths of the reach bitsets and of the memo's root keys, in closed
     form per residue class.  Above SEARCH_WIDTH_LIMIT = 10^9 units it raises
     OutOfRangeError.  The p = 7 series search up to its deficiency 3 725
-    sums 1.9 * 10^8 units; the p = 11 one, 3.35 * 10^14.
+    sums 1.9 * 10^8 units; the p = 11 one, 3.35 * 10^14.  A class whose
+    two sides are one side with at most one coin has one group per
+    deficiency, so it cannot pair and is not searched.
+
+    The pairs are counted per value both sides reach, before any is built,
+    and past PAIR_LIMIT = 10^5 pairs in all the search raises
+    OutOfRangeError; no keyword lifts either limit.  (2, 5, 4) lists 8 308
+    pairs up to deficiency 100 and 242 438 up to 150.  The same values
+    carry the spectrum check: every group behind a value is checked once
+    against its deficiency and mu_0, and the two sides' genus progressions
+    are compared once per value, not once per pair.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -550,6 +620,9 @@ def search_counterexamples(
         # an equal-exponent class is one side
         side1 = _Side(p, e, *spec1)
         side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2)
+        if side1 is side2 and len(side1.coins) <= 1:
+            # one vector per weight: no two groups share a deficiency
+            continue
         off = _value_offset(side1, side2)
         if off is not None:
             listed = _overlap_classes(side1, side2, offset, delta_max, off)
@@ -565,19 +638,6 @@ def search_counterexamples(
 
     pairs: list[CounterexamplePair] = []
     for row in plan:
-        pairs.extend(_search_class(*row))
-
-    # every side's floors are large, so spectra compare by genus progression,
-    # computed once per distinct group however many pairs it sits in
-    progressions: dict[AbelianPGroup, tuple[int, int]] = {}
-    for pair in pairs:
-        for g in (pair.g1, pair.g2):
-            if g not in progressions:
-                try:
-                    progressions[g] = genus_progression(g)
-                except UnsupportedError as exc:
-                    raise VerificationError(f"search group {g} lacks large invariants") from exc
-        if progressions[pair.g1] != progressions[pair.g2]:
-            raise VerificationError(f"search pair {pair.g1} ~ {pair.g2} has unequal spectra")
+        pairs.extend(_search_class(*row, PAIR_LIMIT - len(pairs)))
     pairs.sort(key=lambda q: (q.delta, q.g1.r, q.g2.r))
     return pairs

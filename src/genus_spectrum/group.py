@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     InputError,
@@ -63,16 +64,17 @@ class AbelianPGroup:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+        r = tuple(map(int, self.r))
+        object.__setattr__(self, "r", r)
         if not is_prime(self.p):
             raise InvalidPrimeError(f"{self.p} is not prime")
-        if not self.r:
+        if not r:
             raise InvalidInvariantsError("invariant list must be non-empty")
-        if any(x < 0 for x in self.r):
-            raise InvalidInvariantsError(f"multiplicities must be >= 0, got {self.r}")
-        if self.r[-1] < 1:
+        if min(r) < 0:
+            raise InvalidInvariantsError(f"multiplicities must be >= 0, got {r}")
+        if r[-1] < 1:
             raise InvalidInvariantsError(
-                f"r_e = 0 in {self.r}: group would not have exponent p^{len(self.r)}"
+                f"r_e = 0 in {r}: group would not have exponent p^{len(r)}"
             )
 
     @property
@@ -97,7 +99,7 @@ class AbelianPGroup:
 
     @property
     def log_order(self) -> int:
-        return sum((i + 1) * x for i, x in enumerate(self.r))
+        return sum(map(mul, range(1, len(self.r) + 1), self.r))
 
     @property
     def order(self) -> int:

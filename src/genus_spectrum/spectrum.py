@@ -36,6 +36,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import mul
 
 from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup, e_prime, kulkarni_n
@@ -135,9 +136,14 @@ class SpectrumDescriptor:
         return v >= self.stable_reduced or v.twice not in self._gap_set
 
     def reduced_values_up_to(self, bound: HalfInt | int) -> tuple[HalfInt, ...]:
+        """The reduced genera up to bound, ascending.  Above SIEVE_LIMIT = 10^6
+        lattice values from min_reduced to bound it raises OutOfRangeError
+        before building any."""
+        bound = HalfInt.coerce(bound)
+        lo, hi, step = self.min_reduced.twice, bound.twice, self.step.twice
+        _sieve_length(lo, hi, step, lambda: f"the values from {self.min_reduced} to {bound}")
         gaps = self._gap_set
-        span = range(self.min_reduced.twice, HalfInt.coerce(bound).twice + 1, self.step.twice)
-        return tuple(HalfInt(t) for t in span if t not in gaps)
+        return tuple(HalfInt(t) for t in range(lo, hi + 1, step) if t not in gaps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,8 +162,7 @@ def has_large_invariants(G: AbelianPGroup) -> bool:
 
 def reduced_min_large(G: AbelianPGroup) -> HalfInt:
     """Closed-form mu_0 = sigma_0 for groups with large invariants."""
-    weights = period_weights(G.p, G.e)
-    return HalfInt(-1 - G.exponent + sum(c * ri for c, ri in zip(weights, G.r)))
+    return HalfInt(-1 - G.exponent + sum(map(mul, period_weights(G.p, G.e), G.r)))
 
 
 def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:

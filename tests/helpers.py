@@ -228,7 +228,9 @@ def bitset_join(p: int, e: int, e_tilde: int, delta_max: int, relation: str | No
     scale * twice mu_0) for each side of every value both sides of a class
     reach; pairs lists (delta1, delta2, r1, r2, mu1, mu2, relation) in the
     order of search_counterexamples.  The classes and the p = 2 convention
-    are the search's; the join, the shifts and the witnesses are not.
+    are the search's; the join, the shifts and the witnesses are not.  A
+    class whose two sides are one side with at most one coin adds no
+    matched value, as the search skips it, but its pairs are still joined.
     """
     top = max(p - 2, 1)
     if p != 2:
@@ -263,8 +265,9 @@ def bitset_join(p: int, e: int, e_tilde: int, delta_max: int, relation: str | No
                 if not both >> x & 1:
                     continue
                 value = origin + x
-                matched.add((floors1, spec1[2], delta1, value))
-                matched.add((floors2, spec2[2], delta2, value))
+                if not (shared and len(coins1) <= 1):
+                    matched.add((floors1, spec1[2], delta1, value))
+                    matched.add((floors2, spec2[2], delta2, value))
                 # a pinned top takes no coin, so its t is one short and r_e
                 # keeps its floor
                 for t1 in vectors1[value - base1]:

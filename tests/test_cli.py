@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from genus_spectrum import mu0, parse_group
+from genus_spectrum import HalfInt, mu0, oracle_reduced_spectrum, parse_group
 from genus_spectrum.cli import run
 
 
@@ -296,3 +296,40 @@ def test_optimized_interpreter_keeps_output_and_self_checks():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", lift], capture_output=True, text=True)
     assert proc.stdout == "raised\n", proc.stderr
+
+
+def test_too_many_pairs_exit_1_without_a_traceback():
+    # (2, 5, 4) lists 242 438 pairs up to deficiency 150; the search counts
+    # each matched value's pairs before building them and stops past 10^5
+    proc = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "2", "--e", "5",
+         "--e-tilde", "4", "--delta-max", "300"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_capped_memory,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "limit of 100000 pairs" in proc.stderr
+
+
+def test_oracle_renders_each_value_once(monkeypatch, capsys):
+    # one list of strings serves the JSON payload and the text line
+    values = [str(v) for v in oracle_reduced_spectrum(parse_group("3:0,1"), 300)]
+    calls = []
+    text = HalfInt.__str__
+
+    def counting_str(self):
+        calls.append(self)
+        return text(self)
+
+    monkeypatch.setattr(HalfInt, "__str__", counting_str)
+    for fmt, line in (("text", "values = {" + ",".join(values) + "}"), ("json", None)):
+        calls.clear()
+        code, out, _ = capture(capsys, ["oracle", "3:0,1", "--bound", "300", "--format", fmt])
+        assert code == 0
+        assert out.splitlines()[-1] == line if line else json.loads(out)["values"] == values
+        # each value once, and the bound once
+        assert len(calls) == len(values) + 1

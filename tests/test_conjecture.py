@@ -1,9 +1,12 @@
 import gc
+import subprocess
+import sys
 from functools import reduce
 from heapq import merge
 from itertools import product
 from math import gcd
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,14 @@ from genus_spectrum import (
     spectra_equal,
     varying_exponent_pair,
 )
-from genus_spectrum.conjecture import _overlap_classes, _search_class, _Side, _value_offset
+from genus_spectrum import conjecture as conjecture_module
+from genus_spectrum.conjecture import (
+    PAIR_LIMIT,
+    _overlap_classes,
+    _search_class,
+    _Side,
+    _value_offset,
+)
 
 from helpers import (
     bitset_join,
@@ -605,3 +615,136 @@ def test_search_refuses_oversized_windows_before_any_memo(monkeypatch):
         search_counterexamples(11, 13, 12, 19629)
     with pytest.raises(OutOfRangeError, match="up to 1000000000000 "):
         search_counterexamples(3, 5, 4, 10**12)
+
+
+def test_classes_that_cannot_pair_are_skipped(monkeypatch):
+    # a shared side with at most one coin has one vector per weight, so no
+    # two of its groups share a deficiency: brute force finds no pair either
+    for p, e, dmax in ((3, 1, 30), (5, 1, 20), (2, 1, 30), (2, 2, 14)):
+        found = {(q.g1.encode(), q.g2.encode()) for q in search_counterexamples(p, e, e, dmax)}
+        assert found == brute_pairs(p, e, e, dmax), (p, e, dmax)
+
+    def no_reach(self, *args):
+        raise AssertionError("reach ran on a class that cannot pair")
+
+    monkeypatch.setattr(_Side, "reach", no_reach)
+    assert search_counterexamples(3, 1, 1, 10**6) == []
+
+
+def test_pair_count_is_capped_before_the_pairs_are_built():
+    # each matched value's pairs are counted first: len(gs1) * len(gs2), or
+    # n (n - 1) / 2 on a shared side; past the budget the class is refused
+    assert PAIR_LIMIT == 10**5
+    for e, et, dmax, total in ((5, 4, 350, 7205), (4, 4, 60, 13256)):
+        side1, side2, offset = next(_relation_classes(3, e, et))
+        off = _value_offset(side1, side2)
+        listed = _overlap_classes(side1, side2, offset, dmax, off)
+        pairs = _search_class(side1, side2, offset, off, *listed, RELATION_SAME)
+        assert len(pairs) == total
+        assert _search_class(side1, side2, offset, off, *listed, RELATION_SAME, len(pairs)) == pairs
+        with pytest.raises(OutOfRangeError, match="limit of 100000 pairs"):
+            _search_class(side1, side2, offset, off, *listed, RELATION_SAME, len(pairs) - 1)
+
+
+def _search_broken(how: str) -> str:
+    """Run search_counterexamples(2, 5, 4, 60) with one part of its join
+    broken as `how` says (on the exponent-2^4 side, where a side is named),
+    and return the message of the VerificationError its check raises."""
+    mu_of, group_of = _Side.mu_of, _Side.group_of
+    value_offset = conjecture_module._value_offset
+
+    def shifted_mu(self, units):
+        mu = mu_of(self, units)
+        return mu + 1 if len(self.floors) == 4 else mu
+
+    def shifted_offset(side1, side2):
+        # side 2's values line up with side 1's one unit off: each side's
+        # groups keep their own mu_0, but the two no longer agree
+        off = value_offset(side1, side2)
+        return None if off is None else off + 1
+
+    def changed_group(self, t):
+        g = group_of(self, t)
+        if len(self.floors) != 4:
+            return g
+        r0 = 0 if how == "group_of drops r_1" else g.r[0] + 1
+        return AbelianPGroup(g.p, (r0,) + g.r[1:])
+
+    patches = {
+        "mu_of": [(_Side, "mu_of", shifted_mu)],
+        "_value_offset": [(conjecture_module, "_value_offset", shifted_offset)],
+        "group_of bumps r_1": [(_Side, "group_of", changed_group)],
+        "group_of drops r_1": [(_Side, "group_of", changed_group)],
+    }[how]
+    saved = [(target, name, getattr(target, name)) for target, name, _ in patches]
+    try:
+        for target, name, value in patches:
+            setattr(target, name, value)
+        search_counterexamples(2, 5, 4, 60)
+    except VerificationError as exc:
+        return str(exc)
+    finally:
+        for target, name, value in saved:
+            setattr(target, name, value)
+    return "no VerificationError"
+
+
+BROKEN_SEARCHES = {
+    "mu_of": "search group 2:34,1,1,2 does not have deficiency 43, mu_0 = 313/2",
+    "_value_offset": "have unequal spectra",
+    "group_of bumps r_1": "search group 2:35,1,1,2 does not have deficiency 43, mu_0 = 311/2",
+    "group_of drops r_1": "search group 2:0,1,1,2 lacks large invariants",
+}
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN_SEARCHES))
+def test_search_check_fires(how):
+    # a mu_0 or a group that does not match its deficiency and value, or
+    # two sides whose genus progressions differ, fail loudly
+    assert BROKEN_SEARCHES[how] in _search_broken(how)
+
+
+def test_search_check_fires_under_optimized_interpreter():
+    tests, src = Path(__file__).parent, Path(conjecture_module.__file__).parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(tests)!r}, {str(src)!r}]\n"
+        "from test_conjecture import BROKEN_SEARCHES, _search_broken\n"
+        "for how, message in BROKEN_SEARCHES.items():\n"
+        "    print(message in _search_broken(how))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "True\n" * len(BROKEN_SEARCHES), proc.stderr
+
+
+def test_search_checks_each_matched_value_once(monkeypatch):
+    # one _window per side and listed deficiency (the witness walk reuses the
+    # root reach built), one reduced_min_large per witness and per side's
+    # floor group, and no per-group genus_progression
+    windows, minima, returned = [], [], []
+    window, witnesses = _Side._window, _Side.witnesses
+    reduced_min = conjecture_module.reduced_min_large
+
+    def counting_window(self, key):
+        windows.append(key)
+        return window(self, key)
+
+    def counting_witnesses(self, *args):
+        out = witnesses(self, *args)
+        returned.append(len(out))
+        return out
+
+    def counting_min(G):
+        minima.append(G)
+        return reduced_min(G)
+
+    def no_progression(G):
+        raise AssertionError("genus_progression ran per group")
+
+    monkeypatch.setattr(_Side, "_window", counting_window)
+    monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
+    monkeypatch.setattr(conjecture_module, "reduced_min_large", counting_min)
+    monkeypatch.setattr(conjecture_module, "genus_progression", no_progression)
+    assert len(search_counterexamples(3, 5, 4, 350)) == 7205
+    assert len(windows) == 2 * 164 == 328
+    assert sum(returned) == 11315
+    assert len(minima) == 11315 + 2

@@ -226,6 +226,20 @@ def test_scan_and_oracle_refuse_oversized_sieves(monkeypatch):
         mainline_module._sieve_length(0, limit, 1, str)
 
 
+def test_value_listing_refuses_an_oversized_range():
+    # the count (bound - min) / step + 1 is known before any value is built;
+    # one value past SIEVE_LIMIT is refused, on the integer and the half lattice
+    limit = mainline_module.SIEVE_LIMIT
+    d = closed_form_spectrum(parse_group("3:2,9,1"))  # min 125, step 1
+    with pytest.raises(OutOfRangeError, match=f"spans {limit + 1} values"):
+        d.reduced_values_up_to(125 + limit)
+    assert d.reduced_values_up_to(130) == tuple(map(HalfInt.of, range(125, 131)))
+    d = closed_form_spectrum(parse_group("2:1,6,2"))  # min 45/2, step 1/2
+    with pytest.raises(OutOfRangeError, match=f"spans {limit + 1} values"):
+        d.reduced_values_up_to(d.min_reduced + HalfInt(limit))
+    assert len(d.reduced_values_up_to(d.min_reduced + 3)) == 7
+
+
 def test_sieve_matches_marking_by_sets(monkeypatch):
     seen = []
     sieve = spectrum_module._sieve
