@@ -117,15 +117,18 @@ def _cmd_spectrum(args) -> int:
     G = group.parse_group(args.group)
     desc = spectrum.full_spectrum(G)
     view = spectrum.genus_view(G, desc)
-    payload = {
-        "group": G.encode(),
-        **desc.to_json_dict(),
-        "min_genus": str(view.min_genus),
-        "genus_step": str(view.step),
-        "stable_genus": str(view.stable_genus),
-        "genus_gaps": [str(g) for g in view.gap_genera],
-        "sp": view.render(),
-    }
+    # a scan can leave thousands of gaps, so only the requested format is rendered
+    if args.format == "json":
+        payload = {
+            "group": G.encode(),
+            **desc.to_json_dict(),
+            "min_genus": str(view.min_genus),
+            "genus_step": str(view.step),
+            "stable_genus": str(view.stable_genus),
+            "genus_gaps": [str(g) for g in view.gap_genera],
+            "sp": view.render(),
+        }
+        return _emit(args, payload, [])
     gaps = ",".join(map(twice_text, desc.gaps_twice))
     text = [
         f"group = {G.encode()}",
@@ -135,7 +138,7 @@ def _cmd_spectrum(args) -> int:
         + ("infinity (closed form)" if desc.verified_bound is None else str(desc.verified_bound)),
         f"sp = {view.render()}",
     ]
-    return _emit(args, payload, text)
+    return _emit(args, {}, text)
 
 
 def _cmd_oracle(args) -> int:

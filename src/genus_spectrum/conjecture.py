@@ -283,41 +283,35 @@ class _Side:
         child's own (bits, live children), the object the memo holds, so the
         entries link down to the leaves (1, ()).
 
-        The memo holds the same per key.  It is filled on an explicit stack,
-        since a chain of keys is as long as the coin list.  The root leaves
-        the memo: it is never a child, and roots are the widest windows.
+        The memo holds the same per key.  A key's children are keys of the
+        next coin, so the keys missing from the memo are listed coin by coin,
+        each with its children, and their entries are built from the last
+        coin back.  The root leaves the memo: it is never a child, and roots
+        are the widest windows.
         """
-        memo, n = self._memo, len(self.coins)
-        pending: dict[tuple, list] = {}
-        todo = [key]
-        while todo:
-            node = todo[-1]
-            if node in memo:
-                todo.pop()
-                continue
-            if node[0] == n:
-                # past the last coin only weight 0 and value 0 are left
-                memo[node] = (1, ())
-                todo.pop()
-                continue
-            kids = pending.pop(node, None)
-            if kids is None:
-                kids = self._kids(node)
-                missing = [kid for _, kid, _ in kids if kid not in memo]
-                if missing:
-                    # every key above this one on the stack is a descendant,
-                    # so all its children are done when it is on top again
-                    pending[node] = kids
-                    todo.extend(missing)
-                    continue
-            bits, live = 0, []
-            for k, kid, shift in kids:
-                entry = memo[kid]
-                if entry[0]:
-                    bits |= entry[0] << shift
-                    live.append((k, shift, entry))
-            memo[node] = (bits, tuple(live))
-            todo.pop()
+        memo = self._memo
+        # per coin, each missing key with its children, in first-listed order
+        levels: list[dict[tuple, list]] = [{key: []}]
+        for _ in self.coins:
+            below: dict[tuple, list] = {}
+            for node in levels[-1]:
+                kids = levels[-1][node] = self._kids(node)
+                for _, kid, _ in kids:
+                    if kid not in memo:
+                        below[kid] = []
+            levels.append(below)
+        # past the last coin only weight 0 and value 0 are left
+        for node in levels.pop():
+            memo[node] = (1, ())
+        while levels:
+            for node, kids in levels.pop().items():
+                bits, live = 0, []
+                for k, kid, shift in kids:
+                    entry = memo[kid]
+                    if entry[0]:
+                        bits |= entry[0] << shift
+                        live.append((k, shift, entry))
+                memo[node] = (bits, tuple(live))
         return memo.pop(key)
 
     def reach(self, d: int, lo: int, hi: int) -> int:
@@ -339,29 +333,25 @@ class _Side:
         `reach` built last when its window is this one, else a new one from
         `_window`.  It carries the mask of still-wanted values and ANDs it
         with each child's bits, so every node it visits lies on a path to an
-        output.  Vectors come out in ascending order.
+        output.  It makes one pass per coin over the partial vectors, taking
+        each one's children in ascending count, so vectors come out in
+        ascending order.
         """
-        coins, n = self.coins, len(self.coins)
-        out: list[tuple[int, tuple[int, ...]]] = []
-        # (live children, wanted bits relative to the node's lo, value so
-        # far, prefix of t); a node of prefix length n is a leaf.  Children
-        # are pushed in reverse so t comes out ascending
         key = (0, d, lo, hi)
         root_key, entry = self._root
         bits, live = entry if root_key == key else self._window(key)
         mask = wanted & bits
-        todo = [(live, mask, 0, ())] if mask else []
-        while todo:
-            live, mask, acc, t = todo.pop()
-            if len(t) == n:
-                out.append((acc, t))
-                continue
-            v = coins[len(t)][1]
-            for k, shift, (kid_bits, kid_live) in reversed(live):
-                sub = (mask >> shift) & kid_bits
-                if sub:
-                    todo.append((kid_live, sub, acc + k * v, t + (k,)))
-        return out
+        # (live children, wanted bits relative to the node's lo, value so
+        # far, prefix of t)
+        partial = [(live, mask, 0, ())] if mask else []
+        for _, v in self.coins:
+            partial, last = [], partial
+            for live, mask, acc, t in last:
+                for k, shift, (kid_bits, kid_live) in live:
+                    sub = (mask >> shift) & kid_bits
+                    if sub:
+                        partial.append((kid_live, sub, acc + k * v, t + (k,)))
+        return [(acc, t) for _, _, acc, t in partial]
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
         # coin i has weight i, so t[i - 1] counts the summands of order p^i

@@ -126,39 +126,37 @@ def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
     - ... - y_f) up by 1.  The coefficients are positive, the floors
     non-increasing and each step is 1 or 2.
 
-    The innermost coordinate y_1 is unbounded above, so its values form one
-    arithmetic progression; per (step, residue) only the least start is
-    kept.  Loops wait on one work list and each runs to its end once taken
-    off it, pushing the start of its child loop at every state.  A state
-    (i, step, partial value, tail sum capped at floors[0]) fixes the rest of
-    its loop and every child loop below it, so a loop that meets a state
-    another loop already passed stops: that loop has passed the rest and
-    pushed its children.  The passed states are therefore the same in any
-    order, and with O(k floors[0] (bound - min v)) of them for k levels the
-    work grows linearly with the bound, not as a power of it.
+    The loops run level by level, from the top down: every loop of level i
+    runs to its end and, at each state, puts the start of its child loop on
+    level i - 1's list.  As the floors are non-increasing, a state (partial
+    value, tail sum capped at floors[0], step) fixes the rest of its loop
+    and every child loop below it.  So a child starts from the capped tail
+    sum, and a loop that meets a state its level already passed stops there.
+    With O(k floors[0] (bound - min v)) passed states for k levels, the work
+    grows linearly with the bound, not as a power of it.  The innermost
+    coordinate y_1 is unbounded above, so its values form one arithmetic
+    progression; per (step, residue) only the least start is kept.
     """
-    cap, levels = floors[0], len(coeffs)
+    cap = floors[0]
+    level: list[list[tuple[int, int, int, int]]] = [[] for _ in range(len(coeffs) + 1)]
+    for i, v, cover, x, step in starts:
+        level[i].append((v, cover, x, step))
+    for i in range(len(coeffs), 1, -1):
+        c, floor, below = coeffs[i - 1], floors[i - 2], level[i - 1]
+        passed: set[tuple[int, int, int]] = set()
+        for v, cover, x, step in level.pop():
+            v, tail = v + c * x, min(cover + x, cap)
+            while v <= bound and (state := (v, tail, step)) not in passed:
+                passed.add(state)
+                below.append((v, tail, max(0, floor - tail), 1))
+                v, tail = v + c * step, min(tail + step, cap)
+    c = coeffs[0]
     lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
-    passed: set[int] = set()
-    work = list(starts)
-    while work:
-        i, v, cover, x, step = work.pop()
-        c = coeffs[i - 1]
+    for v, cover, x, step in level.pop():
         v += c * x
-        if i == 1:
-            key = (c * step, v % (c * step))
-            if v < lowest.get(key, bound + 1):
-                lowest[key] = v
-            continue
-        while v <= bound:
-            # (i, step, v, tail sum capped at floors[0]) packed into one int
-            state = ((v * (cap + 1) + min(cover + x, cap)) * (levels + 1) + i) * 2 + step - 1
-            if state in passed:
-                break
-            passed.add(state)
-            work.append((i - 1, v, cover + x, max(0, floors[i - 2] - cover - x), 1))
-            x += step
-            v += c * step
+        key = (c * step, v % (c * step))
+        if v < lowest.get(key, bound + 1):
+            lowest[key] = v
     return [(c, v) for (c, _), v in lowest.items()]
 
 

@@ -136,6 +136,13 @@ def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatc
     assert not is_mainline(3, t, 54)  # the last gap, see mainline_profile
 
 
+def test_membership_far_above_the_minimum_reads_the_residues():
+    # mu = 0 and wp(envelope) = 18 874 370: both integers lie more than
+    # SIEVE_LIMIT above mu and below the envelope, where no sieve is built
+    assert is_mainline(2, (0,) * 20, 2**20 - 1)
+    assert not is_mainline(2, (0,) * 20, 5 * 10**6)
+
+
 def test_coefficients_are_the_values_of_leading_ones(monkeypatch):
     # the engine's coefficients, built by one addition each, are q_j = wp(1^j 0^(e-j))
     seen = []
@@ -189,7 +196,7 @@ def test_profile_matches_enumerator(p, a):
 
 
 @given(primes, seqs)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_profile_consistency(p, a):
     profile = mainline_profile(p, a)
     assert profile.mu == wp_eval(p, hull(a))

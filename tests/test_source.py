@@ -55,7 +55,7 @@ def test_kulkarni_n_is_computed_only_in_group():
 
 def test_no_function_calls_itself():
     # recursion depth grows with the input (one level per exponent index), so
-    # engines walk explicit work lists instead
+    # engines walk their levels in plain passes instead
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
