@@ -126,34 +126,38 @@ def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
     - ... - y_f) up by 1.  The coefficients are positive, the floors
     non-increasing and each step is 1 or 2.
 
-    The loops run level by level, from the top down: every loop of level i
-    runs to its end and, at each state, puts the start of its child loop on
-    level i - 1's list.  As the floors are non-increasing, a state (partial
-    value, tail sum capped at floors[0], step) fixes the rest of its loop
-    and every child loop below it.  So a child starts from the capped tail
-    sum, and a loop that meets a state its level already passed stops there.
-    With O(k floors[0] (bound - min v)) passed states for k levels, the work
-    grows linearly with the bound, not as a power of it.  The innermost
-    coordinate y_1 is unbounded above, so its values form one arithmetic
-    progression; per (step, residue) only the least start is kept.
+    The loops run level by level, from the top down.  A level's passed set
+    of states (partial value, tail sum capped at floors[0], step) starts as
+    its loops' first states, and each loop runs to its end or to a state
+    the set holds, adding at each state its child loop's first state, unless
+    past the bound, to the level below.  As the floors are non-increasing, a
+    state fixes the rest of its loop and every child loop, and the set holds
+    only states whose loops run, so that stop loses nothing.  With
+    O(k floors[0] (bound - min v)) passed states for k levels, the work grows
+    linearly with the bound, not as a power of it.  The innermost coordinate
+    y_1 is unbounded above, so its values form one arithmetic progression;
+    per (step, residue) only the least start is kept.
     """
     cap = floors[0]
-    level: list[list[tuple[int, int, int, int]]] = [[] for _ in range(len(coeffs) + 1)]
+    level: list[set[tuple[int, int, int]]] = [set() for _ in coeffs]
     for i, v, cover, x, step in starts:
-        level[i].append((v, cover, x, step))
-    for i in range(len(coeffs), 1, -1):
-        c, floor, below = coeffs[i - 1], floors[i - 2], level[i - 1]
-        passed: set[tuple[int, int, int]] = set()
-        for v, cover, x, step in level.pop():
-            v, tail = v + c * x, min(cover + x, cap)
-            while v <= bound and (state := (v, tail, step)) not in passed:
-                passed.add(state)
-                below.append((v, tail, max(0, floor - tail), 1))
+        level[i - 1].add((v + coeffs[i - 1] * x, min(cover + x, cap), step))
+    for i in range(len(coeffs) - 1, 0, -1):
+        c, low, floor, below = coeffs[i], coeffs[i - 1], floors[i - 1], level[i - 1]
+        passed = level.pop()
+        for v, tail, step in list(passed):
+            while v <= bound:
+                if tail >= floor:
+                    below.add((v, tail, 1))
+                elif (first := v + low * (floor - tail)) <= bound:
+                    below.add((first, floor, 1))
                 v, tail = v + c * step, min(tail + step, cap)
+                if (state := (v, tail, step)) in passed:
+                    break
+                passed.add(state)
     c = coeffs[0]
     lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
-    for v, cover, x, step in level.pop():
-        v += c * x
+    for v, _, step in level.pop():
         key = (c * step, v % (c * step))
         if v < lowest.get(key, bound + 1):
             lowest[key] = v
