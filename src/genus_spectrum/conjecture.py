@@ -617,7 +617,7 @@ def search_counterexamples(
         if off is not None:
             listed = _overlap_classes(side1, side2, offset, delta_max, off)
             plan.append((side1, side2, offset, off, *listed, label))
-    count = sum(len(r) for row in plan for r in row[4])
+    count = sum((r[-1] - r[0]) // r.step + 1 for row in plan for r in row[4] if r)
     width = sum(row[5] for row in plan)
     if width > SEARCH_WIDTH_LIMIT:
         raise OutOfRangeError(

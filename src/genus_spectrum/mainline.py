@@ -13,25 +13,25 @@ Substituting b_i = y_i + ... + y_e turns the non-increasing b into arbitrary
 y >= 0 with wp(b) = sum(y_j * q_j), where q_j = wp(1^j 0^(e-j)), and turns
 domination of the hull t into the tail-sum floors y_i + ... + y_e >= t_i.
 This tail-bounded knapsack has the shape of the reduced genera of admissible
-data, so one engine, `_progressions`, enumerates both.  No closed form for
-sigma(a) or the gap set is known in general; the profile is read off that
-enumeration below the proven enveloping bound.
+data, so one engine, `_reach`, enumerates both as int bitsets.  No closed
+form for sigma(a) or the gap set is known in general; the profile is read
+off that bitset below the proven enveloping bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from operator import mul, neg, sub
 from typing import Callable
 
 from .errors import InputError, OutOfRangeError, VerificationError
 
-# Most values one sieve may hold, at one byte each: the preflight limit of
-# mainline_profile, spectrum.full_spectrum and spectrum.oracle_reduced_spectrum.
+# Most values mainline_profile, spectrum.full_spectrum and spectrum.
+# oracle_reduced_spectrum may mark, and most bitset bytes of is_mainline.
 SIEVE_LIMIT = 10**6
-
-# bytes.translate table that turns a sieve's marks into its holes
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 class _Infinity:
@@ -118,109 +118,121 @@ def gap_norm(entries) -> "int | _Infinity":
     return min(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
 
 
-def _progressions(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
-    """Values <= bound of v + sum(y_i * coeffs[i-1]) as (step, least start) pairs.
+def _closure(bits: int, stride: int, width: int, count: int | None = None) -> int:
+    """The union of bits << j * stride, 0 <= j < count (or all j), cut to width bits."""
+    mask, span = (1 << width) - 1, 1
+    count = min(width // stride + 1, count or width + 1)
+    while 2 * span <= count:
+        bits |= bits << span * stride & mask
+        span *= 2
+    return bits | bits << (count - span) * stride & mask
+
+
+def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
+    """Bitset of the values <= bound of v + sum(y_i * coeffs[i-1]), bit k for lo + k.
 
     Each start (f, v, cover, x, step) opens a loop y_f = x, x + step, ...;
     below it each y_i (i < f) runs from max(0, floors[i-1] - cover - y_{i+1}
-    - ... - y_f) up by 1.  The coefficients are positive, the floors
-    non-increasing and each step is 1 or 2.
+    - ... - y_f) up by 1.  At f = 0 the coefficient is 1 with no loop below.
+    The coefficients increase and the floors do not.
 
-    The loops run level by level, from the top down.  A level's passed set
-    of states (partial value, tail sum capped at floors[0], step) starts as
-    its loops' first states, and each loop runs to its end or to a state
-    the set holds, adding at each state its child loop's first state, unless
-    past the bound, to the level below.  As the floors are non-increasing, a
-    state fixes the rest of its loop and every child loop, and the set holds
-    only states whose loops run, so that stop loses nothing.  With
-    O(k floors[0] (bound - min v)) passed states for k levels, the work grows
-    linearly with the bound, not as a power of it.  The innermost coordinate
-    y_1 is unbounded above, so its values form one arithmetic progression;
-    per (step, residue) only the least start is kept.
+    From the top level down, each level keeps one bitset per loop head
+    (tail sum capped at cap = floors[0], step).  A bit counts from the least
+    value its branch can end at, the floors below met by the cheapest, lowest
+    coordinates: a child loop inherits it, and a branch past the bound drops
+    out.  Loop steps below the next floor share its key at a fixed distance:
+    one bounded closure.  Up to cap each step is a shift into its own key.
+    From cap on every floor is met, so capping is exact and the rest is one
+    closure, as are level 1 and f = 0.  A start below lo raises VerificationError.
     """
-    cap = floors[0]
-    level: list[set[tuple[int, int, int]]] = [set() for _ in coeffs]
-    for i, v, cover, x, step in starts:
-        level[i - 1].add((v + coeffs[i - 1] * x, min(cover + x, cap), step))
-    for i in range(len(coeffs) - 1, 0, -1):
-        c, low, floor, below = coeffs[i], coeffs[i - 1], floors[i - 1], level[i - 1]
-        passed = level.pop()
-        for v, tail, step in list(passed):
-            while v <= bound:
-                if tail >= floor:
-                    below.add((v, tail, 1))
-                elif (first := v + low * (floor - tail)) <= bound:
-                    below.add((first, floor, 1))
-                v, tail = v + c * step, min(tail + step, cap)
-                if (state := (v, tail, step)) in passed:
-                    break
-                passed.add(state)
-    c = coeffs[0]
-    lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
-    for v, _, step in level.pop():
-        key = (c * step, v % (c * step))
-        if v < lowest.get(key, bound + 1):
-            lowest[key] = v
-    return [(c, v) for (c, _), v in lowest.items()]
+    cap, width = floors[0], bound - lo + 1
+    mask = (1 << width) - 1
+    pre = list(accumulate(map(mul, coeffs, map(sub, floors, floors[1:])), initial=0))
+
+    def least(tail: int, i: int) -> int:
+        # least sum(y_j * coeffs[j-1]), j < i: fill the m floors over the tail
+        m = 0 if tail >= cap else min(bisect_left(floors, -tail, key=neg), i - 1)
+        return coeffs[m - 1] * (floors[m - 1] - tail) + pre[m - 1] if m > 0 else 0
+
+    heads = [defaultdict(int) for _ in range(len(coeffs) + 1)]  # {(tail, step): bits} per level
+    for f, v, cover, x, step in starts:
+        tail = min(cover + x, cap)
+        k = v + (coeffs[f - 1] if f else 1) * x + least(tail, f) - lo
+        if k < 0:
+            raise VerificationError(f"a start at level {f} reaches {lo + k}, below {lo}")
+        if k < width:
+            heads[f][tail, step] |= 1 << k
+    for i in range(len(coeffs), 1, -1):
+        c, floor, below = coeffs[i - 1], floors[i - 2], heads[i - 1]
+        for (tail, step), bits in heads.pop().items():
+            low, base = (bits & -bits).bit_length() - 1, least(tail, i) + c * tail
+            if tail < floor:
+                n = -((tail - floor) // step)
+                below[floor, 1] |= _closure(bits, (c - coeffs[i - 2]) * step, width, n)
+                tail += n * step
+            shift = c * tail + least(tail, i) - base
+            while tail < cap and low + shift < width:
+                below[tail, 1] |= bits << shift & mask
+                tail += step
+                shift = c * tail + least(tail, i) - base
+            if low + shift < width:
+                below[cap, 1] |= _closure(bits << shift & mask, c * step, width)
+    out = 0
+    for c, level in zip((1, coeffs[0]), heads):  # at level 1 every tail is cap
+        for (_, step), bits in level.items():
+            out |= _closure(bits, c * step, width)
+    return out
 
 
 def _sieve_length(lo: int, hi: int, step: int, what: Callable[[], str]) -> int:
-    """Count of lo, lo + step, ... <= hi.  Above SIEVE_LIMIT it raises
-    OutOfRangeError, naming the job by what(), which only then is called."""
+    """Count of lo, lo + step, ... <= hi; above SIEVE_LIMIT, OutOfRangeError naming what()."""
     n = max((hi - lo) // step + 1, 0)
     if n > SIEVE_LIMIT:
         raise OutOfRangeError(f"{what()} spans {n} values, over the limit of {SIEVE_LIMIT}")
     return n
 
 
-def _sieve(progressions, lo: int, step: int, n: int) -> bytearray:
-    """Byte k is 1 when lo + k * step lies on one of the progressions.
-
-    Each (c, v) from `_progressions` is marked by one slice assignment.  A
-    progression off the lattice lo + step * N_0 raises VerificationError.
-    """
-    sieve = bytearray(n)
-    ones = memoryview(b"\1" * n)
-    for c, v in progressions:
-        k, off = divmod(v - lo, step)
-        if k < 0 or off or c % step:
-            raise VerificationError(f"progression {v} + {c}N_0 leaves the lattice {lo} + {step}N_0")
-        if k < n:
-            stride = c // step
-            sieve[k::stride] = ones[: (n - 1 - k) // stride + 1]
-    return sieve
+def _marks(bits: int, lo: int, bound: int, step: int) -> str:
+    """The marks "1" (bit set) or "0" of lo, lo + step, ... <= bound; a set bit off them raises."""
+    marks = format(bits | 1 << bound - lo + 1, "b")[:0:-step]  # the top bit fixes the length
+    if marks.count("1") != bits.bit_count():
+        raise VerificationError(f"reached values leave the lattice {lo} + {step}N_0")
+    return marks
 
 
-def _holes(sieve: bytearray, lo: int, step: int, first: int) -> tuple[int, ...]:
-    """The values lo + k * step, k >= first, left unmarked in the sieve."""
-    values = range(lo + first * step, lo + len(sieve) * step, step)
-    return tuple(compress(values, sieve[first:].translate(_FLIP)))
+def _holes(marks: str, lo: int, step: int, first: int) -> tuple[int, ...]:
+    """The values lo + k * step, k >= first, marked "0"; compress drops the "1"s, made NULs."""
+    values = range(lo + first * step, lo + len(marks) * step, step)
+    return tuple(compress(values, marks[first:].encode().replace(b"1", b"\0")))
 
 
-def _mainline_progressions(p: int, t: IntSeq, bound: int) -> list[tuple[int, int]]:
-    # wp(b) = sum(y_j * q_j) over y_j >= 0 with y_i + ... + y_e >= t_i
-    # q_j = wp(1^j 0^(e-j)) = q_(j-1) + p^(e-j)
+def _mainline_reach(p: int, t: IntSeq, lo: int, bound: int) -> int:
+    # wp(b) = sum(y_j * q_j), y_i + ... + y_e >= t_i, q_j = q_(j-1) + p^(e-j)
     e = len(t)
     q = list(accumulate(p ** (e - j) for j in range(1, e + 1)))
-    return _progressions(q, t, bound, [(e, 0, 0, t[-1], 1)])
+    return _reach(q, t, lo, bound, [(e, 0, 0, t[-1], 1)])
 
 
 def is_mainline(p: int, entries, m: int) -> bool:
     """Is m = wp(b) for some non-increasing b dominating a?
 
-    Every progression has step q_1 = p^(e-1), and every integer from
-    U = wp(envelope) on is a member, so each residue mod q_1 has its least
-    member below U + q_1.  The enumeration (see `_progressions`) therefore
-    stops at min(m, U + q_1 - 1): its cost grows with m up to that bound and
-    stays flat beyond it.
+    Members are closed under adding q_1 = p^(e-1), and all integers from
+    U = wp(envelope) on are members, so each residue mod q_1 has its least
+    member below U + q_1.  The bitset (see `_reach`) ends at bound = min(m,
+    U + q_1 - 1), where m's residue lies among its top q_1 bits.  Above
+    SIEVE_LIMIT = 10^6 bitset bytes it raises OutOfRangeError first.
     """
     if p < 2:
         raise InputError(f"mainline membership needs p >= 2, got {p}")
-    if m < 0:
-        return False
     t = hull(entries)
-    bound = min(m, wp_eval(p, envelope(p, t)) + p ** (len(t) - 1) - 1)
-    return any((m - v) % c == 0 for c, v in _mainline_progressions(p, t, bound))
+    mu, q1 = wp_eval(p, t), p ** (len(t) - 1)
+    if m < mu:
+        return False
+    bound = min(m, wp_eval(p, envelope(p, t)) + q1 - 1)
+    if (size := (bound - mu) // 8 + 1) > SIEVE_LIMIT:
+        what = f"the membership test of {m} for {t} at p = {p}"
+        raise OutOfRangeError(f"{what} needs {size} bitset bytes, over the limit of {SIEVE_LIMIT}")
+    return bool(_mainline_reach(p, t, mu, bound) >> bound - (bound - m) % q1 - mu & 1)
 
 
 @dataclass(frozen=True)
@@ -238,18 +250,15 @@ def mainline_profile(p: int, entries) -> MainlineProfile:
     mu is wp of the hull.  Every integer >= wp of the p-enveloping sequence
     of the hull is a member, so enumerating up to that bound finds all
     non-members; sigma is one past the largest of them (mu itself when
-    there are none above mu).  The members below the bound are marked in a
-    sieve of one byte per integer from mu on, so above SIEVE_LIMIT = 10^6
-    integers between mu and that bound it raises OutOfRangeError before
-    enumerating anything.
+    there are none above mu).  The bitset holds one bit per integer from mu
+    to that bound; above SIEVE_LIMIT = 10^6 bits it raises OutOfRangeError
+    before enumerating anything.
     """
     if p < 2:
         raise InputError(f"mainline profile needs p >= 2, got {p}")
     t = hull(entries)
-    mu = wp_eval(p, t)
-    upper = wp_eval(p, envelope(p, t))
-    n = _sieve_length(mu, upper - 1, 1, lambda: f"the mainline profile of {t} at p = {p}")
-    sieve = _sieve(_mainline_progressions(p, t, upper - 1), mu, 1, n)
-    gaps = _holes(sieve, mu, 1, 1)
+    mu, upper = wp_eval(p, t), wp_eval(p, envelope(p, t))
+    _sieve_length(mu, upper - 1, 1, lambda: f"the mainline profile of {t} at p = {p}")
+    gaps = _holes(_marks(_mainline_reach(p, t, mu, upper - 1), mu, upper - 1, 1), mu, 1, 1)
     sigma = gaps[-1] + 1 if gaps else mu
     return MainlineProfile(mu=mu, sigma=sigma, gaps=gaps)

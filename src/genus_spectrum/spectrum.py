@@ -12,16 +12,12 @@ tail-sum bounds are its loops' lower limits, and the last coordinate is
 taken as a whole arithmetic progression.  The tests cross-check it against
 a per-datum application of the criterion.
 
-Each progression is marked in a sieve, one byte per value of the lattice
-from its least value -1 (doubled: -2 // epsilon) up to B, by one slice
-assignment.  The minimum is the first mark and the gaps are the holes after
-it, read in one pass and kept as doubled ints: a descriptor built by the
-scan makes its HalfInt gaps only when gaps_reduced is read, and the genus
-view and the CLI lift and print the ints directly.  A sieve longer than
-SIEVE_LIMIT = 10^6 values is refused with OutOfRangeError before anything
-is enumerated.  In the tests and the benchmark the longest scan sieve has
-38 456 values (13:0,0,1 up to its B) and the longest oracle sieve 200 002
-(2:1 up to 200 000).
+The values reached form one int bitset, a bit per doubled value from the
+lattice's least value -1 (doubled: -2 // epsilon) up to B; a set bit off the
+lattice raises.  The minimum is the first lattice mark and the gaps are the
+unmarked values after it, kept as doubled ints until gaps_reduced is read.
+Above SIEVE_LIMIT = 10^6 lattice values a scan raises OutOfRangeError before
+enumerating; the tests and the benchmark scan at most 38 456 (13:0,0,1).
 
 The scan is self-certifying: adding 2 to every coordinate of an
 admissibility block element stays in the block and raises the reduced
@@ -41,7 +37,7 @@ from operator import mul
 from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup, e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
-from .mainline import _holes, _progressions, _sieve, _sieve_length, envelope, hull, wp_eval
+from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
 from .mingenus import mu0
 from .signature import genus_of, genus_of_twice, period_weights
 
@@ -183,38 +179,31 @@ def _lattice(epsilon: int) -> tuple[int, int]:
     return -2 // epsilon, 2 // epsilon
 
 
-def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> bytearray:
-    """Sieve of the doubled reduced genera <= twice_bound of all admissible
-    data: byte k marks lo + k * step, with (lo, step) = _lattice(G.epsilon).
-
-    Only admissible data are enumerated: the criterion's tail-sum bounds
-    2h + x_i + ... + x_f >= s_i are the loops' lower limits.  The period-free
-    datum counts when 2h >= s_1 - 1, which gives one progression in h.
-    Otherwise the top period index f is fixed (2h >= s_{f+1} - 1), x_f
-    starts at max(2, s_f - 2h) (even, stepping by 2, for p = 2 above e'),
-    and the lower x_i are left to the shared engine `_progressions`.  Above
-    SIEVE_LIMIT lattice values up to the bound it raises OutOfRangeError
-    before enumerating anything.
-    """
+def _admissible_twice(G: AbelianPGroup, twice_bound: int) -> str:
+    """Marks ("1" or "0") of the lattice values lo + k * step <= twice_bound,
+    (lo, step) = _lattice(G.epsilon): "1" for the doubled reduced genera of
+    admissible data, the only data enumerated: the criterion's tail-sum
+    bounds 2h + x_i + ... + x_f >= s_i are the loops' lower limits.  The
+    period-free datum (2h >= s_1 - 1) is the start f = 0.  Otherwise the top
+    period index f is fixed (2h >= s_{f+1} - 1), x_f starts at max(2, s_f -
+    2h) (even, stepping by 2, for p = 2 above e'), and `_reach` runs the
+    lower x_i.  From h = s_1 // 2 on each start is the one before shifted by
+    2p^e, so the starts stop there and the bitset is closed under + 2p^e.
+    Above SIEVE_LIMIT lattice values it raises OutOfRangeError first."""
     lo, step = _lattice(G.epsilon)
-    n = _sieve_length(
-        lo, twice_bound, step, lambda: f"the scan of {G} up to {twice_text(twice_bound)}"
-    )
-    p, e = G.p, G.e
+    _sieve_length(lo, twice_bound, step, lambda: f"the scan of {G} up to {twice_text(twice_bound)}")
+    p, e, s, ep = G.p, G.e, G.s, e_prime(G)
     pe = p**e
-    s = G.s
-    ep = e_prime(G)
-    # above e' the criterion asks for an even x_f; there s_f <= 2, so x_f
-    # starts at 2 and steps by 2
+    # above e' the criterion asks for an even x_f, and there s_f <= 2
     starts = [
         (f, 2 * (h - 1) * pe, 2 * h, max(2, s[f - 1] - 2 * h), 2 if p == 2 and ep < f else 1)
-        for h in range(twice_bound // (2 * pe) + 2)
+        for h in range(min(s[0] // 2, twice_bound // (2 * pe) + 1) + 1)
         for f in range(1, e + 1)
         if 2 * h >= s[f] - 1
     ]
-    progressions = _progressions(period_weights(p, e), s, twice_bound, starts)
-    progressions.append((2 * pe, 2 * (s[0] // 2 - 1) * pe))
-    return _sieve(progressions, lo, step, n)
+    starts.append((0, 2 * (s[0] // 2 - 1) * pe, 0, 0, 2 * pe))
+    bits = _reach(period_weights(p, e), s, lo, twice_bound, starts)
+    return _marks(_closure(bits, 2 * pe, twice_bound - lo + 1), lo, twice_bound, step)
 
 
 def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[HalfInt, ...]:
@@ -231,8 +220,8 @@ def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[Hal
     if bound < HalfInt(-2):
         raise OutOfRangeError(f"bound must be >= -1, got {bound}")
     lo, step = _lattice(G.epsilon)
-    sieve = _admissible_twice(G, bound.twice)
-    return tuple(map(HalfInt, compress(range(lo, bound.twice + 1, step), sieve)))
+    marks = _admissible_twice(G, bound.twice).encode().replace(b"0", b"\0")
+    return tuple(map(HalfInt, compress(range(lo, bound.twice + 1, step), marks)))
 
 
 def scan_bound(G: AbelianPGroup) -> HalfInt:
@@ -258,7 +247,7 @@ def scan_bound(G: AbelianPGroup) -> HalfInt:
 def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
     """Exact spectrum descriptor for an arbitrary abelian p-group.
 
-    Outside the large-invariant family the lattice is sieved up to
+    Outside the large-invariant family the lattice is marked up to
     scan_bound(G); above SIEVE_LIMIT = 10^6 lattice values up to that bound
     it raises OutOfRangeError before enumerating anything.
     """
@@ -266,24 +255,24 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
         return closed_form_spectrum(G)
 
     bound = scan_bound(G)
-    sieve = _admissible_twice(G, bound.twice)
-    first = sieve.find(1)
+    marks = _admissible_twice(G, bound.twice)
+    first = marks.find("1")
     if first < 0:
         raise VerificationError(f"no admissible data below {bound} for {G}")
 
     lo, step = _lattice(G.epsilon)
     window_low = bound.twice - 2 * G.p**G.e
     # a hole at or after the first lattice value >= window_low
-    hole = sieve.find(0, max(-((lo - window_low) // step), 0))
+    hole = marks.find("0", max(-((lo - window_low) // step), 0))
     if hole >= 0:
-        bad = [HalfInt(t) for t in _holes(sieve, lo, step, hole)[:5]]
+        bad = [HalfInt(t) for t in _holes(marks, lo, step, hole)[:5]]
         raise VerificationError(
             f"scan window [{twice_text(window_low)}, {bound}] for {G} is incomplete at {bad}; "
             "the completeness bound is too small"
         )
 
     min_twice = lo + first * step
-    gaps = _holes(sieve, lo, step, first + 1)
+    gaps = _holes(marks, lo, step, first + 1)
     return SpectrumDescriptor._from_twice(
         G.epsilon, min_twice, gaps[-1] + step if gaps else min_twice, gaps, bound
     )
@@ -304,6 +293,8 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
     exactly to the least admissible m; the excess is absorbed digit-wise in
     a partial p-adic expansion whose carries keep all invariants large.
     """
+    if p < 2:
+        raise InputError(f"p must be prime, got {p}")
     if e < 1:
         raise OutOfRangeError(f"exponent index must be >= 1, got {e}")
     a = [max(p - 1, 2) + 2 * (p - 1) * (e - j) for j in range(1, e + 1)]

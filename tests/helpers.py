@@ -16,6 +16,8 @@ from genus_spectrum import (
     HalfInt,
     PDatum,
     classify_gamma_seq,
+    e_prime,
+    envelope,
     gamma,
     hull,
     is_admissible,
@@ -55,13 +57,81 @@ def naive_mainline_members(p: int, a, limit: int) -> set[int]:
     return out
 
 
-def marks_by_sets(progressions, lo: int, step: int, n: int) -> bytearray:
-    """The sieve of lo, lo + step, ... (n values) with 1 where some
-    progression (c, v) lands, by collecting every value in a set."""
+def marks_by_sets(progressions, lo: int, step: int, n: int) -> str:
+    """The marks of lo, lo + step, ... (n values), "1" where some progression
+    (c, v) lands, by collecting every value in a set."""
     found: set[int] = set()
     for c, v in progressions:
         found.update(range(v, lo + n * step, c))
-    return bytearray(lo + k * step in found for k in range(n))
+    return "".join("01"[lo + k * step in found] for k in range(n))
+
+
+def progressions_by_walk(coeffs, floors, bound: int, starts) -> list[tuple[int, int]]:
+    """Values <= bound of v + sum(y_i * coeffs[i-1]) as (step, least start)
+    pairs, for the starts of `mainline._reach`, by walking partial values.
+
+    Each level holds the set of states (partial value, tail sum capped at
+    floors[0], step) that its loops pass; each loop runs to its end or to a
+    state already passed, and adds each state's child loop head, unless past
+    the bound, to the level below.  The innermost y_1 is unbounded above, so
+    its values form one progression; per (step, residue) only the least
+    start is kept.  A start at f = 0 is the progression v + x + step * N_0.
+    """
+    cap = floors[0]
+    level: list[set[tuple[int, int, int]]] = [set() for _ in coeffs]
+    out = [(step, v + x) for f, v, _, x, step in starts if f == 0]
+    for i, v, cover, x, step in starts:
+        if i:
+            level[i - 1].add((v + coeffs[i - 1] * x, min(cover + x, cap), step))
+    for i in range(len(coeffs) - 1, 0, -1):
+        c, low, floor, below = coeffs[i], coeffs[i - 1], floors[i - 1], level[i - 1]
+        passed = level.pop()
+        for v, tail, step in list(passed):
+            while v <= bound:
+                if tail >= floor:
+                    below.add((v, tail, 1))
+                elif (first := v + low * (floor - tail)) <= bound:
+                    below.add((first, floor, 1))
+                v, tail = v + c * step, min(tail + step, cap)
+                if (state := (v, tail, step)) in passed:
+                    break
+                passed.add(state)
+    c = coeffs[0]
+    lowest: dict[tuple[int, int], int] = {}  # (step, residue) -> least start
+    for v, _, step in level.pop():
+        key = (c * step, v % (c * step))
+        if v < lowest.get(key, bound + 1):
+            lowest[key] = v
+    return out + [(c, v) for (c, _), v in lowest.items()]
+
+
+def admissible_marks_by_walk(G: AbelianPGroup, twice_bound: int) -> str:
+    """The marks of `spectrum._admissible_twice`, from the same loop starts,
+    by `progressions_by_walk` and `marks_by_sets`."""
+    lo, step = -2 // G.epsilon, 2 // G.epsilon
+    p, e, s, ep = G.p, G.e, G.s, e_prime(G)
+    pe = p**e
+    starts = [
+        (f, 2 * (h - 1) * pe, 2 * h, max(2, s[f - 1] - 2 * h), 2 if p == 2 and ep < f else 1)
+        for h in range(twice_bound // (2 * pe) + 2)
+        for f in range(1, e + 1)
+        if 2 * h >= s[f] - 1
+    ]
+    starts.append((0, 2 * (s[0] // 2 - 1) * pe, 0, 0, 2 * pe))
+    progressions = progressions_by_walk(weights(p, e), s, twice_bound, starts)
+    return marks_by_sets(progressions, lo, step, max((twice_bound - lo) // step + 1, 0))
+
+
+def profile_holes_by_walk(p: int, a) -> tuple[int, ...]:
+    """The integers from mu + 1 to wp(envelope) - 1 that are not mainline, by
+    `progressions_by_walk` and `marks_by_sets`."""
+    t = hull(a)
+    e = len(t)
+    mu, upper = wp_eval(p, t), wp_eval(p, envelope(p, t))
+    q = [wp_eval(p, [1] * j + [0] * (e - j)) for j in range(1, e + 1)]
+    progressions = progressions_by_walk(q, t, upper - 1, [(e, 0, 0, t[-1], 1)])
+    marks = marks_by_sets(progressions, mu, 1, upper - mu)
+    return tuple(mu + k for k in range(1, upper - mu) if marks[k] == "0")
 
 
 def weights(p: int, e: int) -> list[int]:

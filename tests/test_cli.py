@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import resource
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genus_spectrum import HalfInt, mu0, oracle_reduced_spectrum, parse_group
 from genus_spectrum.cli import run
@@ -333,3 +337,62 @@ def test_oracle_renders_each_value_once(monkeypatch, capsys):
         assert out.splitlines()[-1] == line if line else json.loads(out)["values"] == values
         # each value once, and the bound once
         assert len(calls) == len(values) + 1
+
+
+# argv pieces for the fuzz test: small and huge ints, and malformed text.
+# Multiplicities stay small: p^delta alone is unbounded work for a huge r_i.
+_small = st.integers(-2, 40)
+_huge = st.integers(10**12, 10**40) | st.integers(-(10**40), -(10**12))
+_number = st.one_of(_small, _huge).map(str)
+_bad = st.sampled_from(["", "x", "1/0", "3/2/1", "--", "0x10", "١", "½", "2\x00", "\udcff", "٣:1"])
+_token = _number | _bad | st.text(max_size=6)
+_group = st.builds(
+    lambda p, r: f"{p}:{','.join(map(str, r))}",
+    st.sampled_from([2, 3, 5, 7, 13, 1, 4, 1000003, 10**40]),
+    st.lists(st.integers(-1, 4), min_size=1, max_size=5),
+) | _token
+_verbs = st.sampled_from(["invariants", "mu0", "mu0plus", "spectrum", "classify"])
+_int = st.integers
+_argv = st.one_of(
+    st.tuples(_verbs, _group),
+    st.tuples(st.just("oracle"), _group, st.just("--bound"), _number | _bad),
+    st.tuples(st.just("admissible"), _group, st.just("--datum"), _token.map(lambda t: t + ";1")),
+    st.tuples(
+        st.just("mainline"),
+        st.lists(_number, min_size=1, max_size=4).map(",".join),
+        st.just("--p"),
+        _number | _bad,
+    ),
+    st.tuples(
+        *(st.just("construct"), st.just("--p"), _number),
+        *(st.just("--e"), _int(-1, 6).map(str) | _bad, st.just("--m"), _number),
+    ),
+    st.tuples(
+        *(st.just("search-talu"), st.just("--p"), st.sampled_from(["2", "3", "4", "-2"])),
+        *(st.just("--e"), _int(0, 6).map(str), st.just("--e-tilde"), _int(0, 6).map(str)),
+        *(st.just("--delta-max"), (_int(-1, 40) | _huge).map(str)),
+    ),
+    st.lists(_token | st.sampled_from(["spectrum", "--bound", "--p", "--format"]), max_size=4),
+).flatmap(lambda argv: st.sampled_from([list(argv), [*argv, "--format", "json"]]))
+
+
+@given(_argv)
+# once divided by p - 1, and once took len() of a range longer than sys.maxsize
+@example(["construct", "--p", "1", "--e", "1", "--m", "0"])
+@example(["search-talu", "--p", "2", "--e", "2", "--e-tilde", "2", "--delta-max", str(2**64 + 1)])
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    # every verb, valid or not, ends in an exit code and never in another
+    # exception; the digit limit is lifted as main() lifts it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 1 or err.getvalue().startswith("error: "), err.getvalue()

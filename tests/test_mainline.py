@@ -1,3 +1,7 @@
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from genus_spectrum import (
     mainline_profile,
     wp_eval,
 )
-from helpers import naive_mainline_members
+from helpers import naive_mainline_members, nonincreasing_seqs, profile_holes_by_walk
 
 seqs = st.lists(st.integers(0, 8), min_size=1, max_size=4).map(tuple)
 noninc = seqs.map(hull)
@@ -87,9 +91,12 @@ def test_profile_refuses_an_oversized_sieve(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("enumerated past the preflight")
 
-    monkeypatch.setattr(mainline, "_progressions", enumerate_nothing)
+    monkeypatch.setattr(mainline, "_reach", enumerate_nothing)
     with pytest.raises(OutOfRangeError, match="over the limit of 1000000"):
         mainline_profile(1000003, (1000, 0))
+    # 3 * 10^8 bits from mu = 0 on, more than 10^6 bytes: refused before any bitset
+    with pytest.raises(OutOfRangeError, match="needs 37500001 bitset bytes"):
+        is_mainline(2, (0,) * 24, 3 * 10**8)
 
 
 @given(seqs)
@@ -124,13 +131,13 @@ def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatc
     # each residue mod p^(e-1) has its least member below wp(envelope) + p^(e-1)
     t = (4, 2, 1)
     cap = wp_eval(3, envelope(3, t)) + 3**2 - 1
-    engine = mainline._mainline_progressions
+    engine = mainline._reach
 
-    def capped(p, t, bound):
+    def capped(coeffs, floors, lo, bound, starts):
         assert bound <= cap, bound
-        return engine(p, t, bound)
+        return engine(coeffs, floors, lo, bound, starts)
 
-    monkeypatch.setattr(mainline, "_mainline_progressions", capped)
+    monkeypatch.setattr(mainline, "_reach", capped)
     assert is_mainline(3, t, 10**12)
     assert is_mainline(3, t, 10**30 + 1)
     assert not is_mainline(3, t, 54)  # the last gap, see mainline_profile
@@ -138,7 +145,8 @@ def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatc
 
 def test_membership_far_above_the_minimum_reads_the_residues():
     # mu = 0 and wp(envelope) = 18 874 370: both integers lie more than
-    # SIEVE_LIMIT above mu and below the envelope, where no sieve is built
+    # SIEVE_LIMIT above mu and below the envelope, and their bitsets hold
+    # fewer than SIEVE_LIMIT bytes
     assert is_mainline(2, (0,) * 20, 2**20 - 1)
     assert not is_mainline(2, (0,) * 20, 5 * 10**6)
 
@@ -146,13 +154,13 @@ def test_membership_far_above_the_minimum_reads_the_residues():
 def test_coefficients_are_the_values_of_leading_ones(monkeypatch):
     # the engine's coefficients, built by one addition each, are q_j = wp(1^j 0^(e-j))
     seen = []
-    engine = mainline._progressions
+    engine = mainline._reach
 
-    def recording(coeffs, floors, bound, starts):
+    def recording(coeffs, floors, lo, bound, starts):
         seen.append(list(coeffs))
-        return engine(coeffs, floors, bound, starts)
+        return engine(coeffs, floors, lo, bound, starts)
 
-    monkeypatch.setattr(mainline, "_progressions", recording)
+    monkeypatch.setattr(mainline, "_reach", recording)
     for p in (2, 3, 5):
         for e in range(1, 9):
             seen.clear()
@@ -207,3 +215,32 @@ def test_profile_consistency(p, a):
     for g in profile.gaps:
         assert not is_mainline(p, a, g)
     assert is_mainline(p, a, profile.sigma)
+
+
+def test_profiles_match_the_walk():
+    # the bitset engine against the level walk of partial values it replaced
+    for p in (2, 3, 5):
+        for length in (1, 2, 3, 4):
+            for a in nonincreasing_seqs(length, 6):
+                assert mainline_profile(p, a).gaps == profile_holes_by_walk(p, a), (p, a)
+
+
+def _capped_memory():
+    # the walk of partial values that the bitset engine replaced held about
+    # 1.1 GB on (10^7, 0) and failed under this cap
+    resource.setrlimit(resource.RLIMIT_AS, (5 * 10**8, 5 * 10**8))
+
+
+def test_profile_of_a_huge_hull_stays_small():
+    # (10^7, 0) is its own envelope, so no integer lies between mu and
+    # wp(envelope), and the bitset is empty
+    code = "from genus_spectrum import mainline_profile; print(mainline_profile(2, (10**7, 0)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_capped_memory,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "MainlineProfile(mu=20000000, sigma=20000000, gaps=())\n"

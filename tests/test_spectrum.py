@@ -24,11 +24,18 @@ from genus_spectrum import (
     mu0_plus,
     oracle_reduced_spectrum,
     parse_group,
+    scan_bound,
     spectrum_bound_formula,
 )
 from genus_spectrum import mainline as mainline_module
 from genus_spectrum import spectrum as spectrum_module
-from helpers import admissible_values, all_groups, block_route_values, marks_by_sets
+from helpers import (
+    admissible_marks_by_walk,
+    admissible_values,
+    all_groups,
+    block_route_values,
+    marks_by_sets,
+)
 
 
 def hi(v):  # doubled-value literal
@@ -212,7 +219,7 @@ def test_scan_and_oracle_refuse_oversized_sieves(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("enumerated past the preflight")
 
-    monkeypatch.setattr(spectrum_module, "_progressions", enumerate_nothing)
+    monkeypatch.setattr(spectrum_module, "_reach", enumerate_nothing)
     with pytest.raises(OutOfRangeError, match="1000003:0,1"):
         full_spectrum(parse_group("1000003:0,1"))  # B is about 10^18
     with pytest.raises(OutOfRangeError, match="over the limit of 1000000"):
@@ -240,30 +247,51 @@ def test_value_listing_refuses_an_oversized_range():
     assert len(d.reduced_values_up_to(d.min_reduced + 3)) == 7
 
 
-def test_sieve_matches_marking_by_sets(monkeypatch):
-    seen = []
-    sieve = spectrum_module._sieve
-
-    def recording(*args):
-        seen.append((args, sieve(*args)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(spectrum_module, "_sieve", recording)
+def test_sieve_matches_marking_by_sets():
+    # the engine's marks against the walk of partial values it replaced
     for enc, bound in (("13:0,0,1", 400), ("2:0,0,3", 99), ("3:1,1", 0), ("5:0,1", -1)):
-        oracle_reduced_spectrum(parse_group(enc), bound)
-    full_spectrum(parse_group("3:0,0,0,0,0,1"))
-    assert len(seen) == 5
-    # progressions starting one step before, at and past the sieve's last value
-    short = ([(4, 8), (2, 10), (6, 100)], 0, 2, 6)
-    seen.append((short, sieve(*short)))
-    for args, marks in seen:
-        assert marks == marks_by_sets(*args), args[1:]
+        G = parse_group(enc)
+        assert spectrum_module._admissible_twice(G, 2 * bound) == admissible_marks_by_walk(
+            G, 2 * bound
+        ), enc
+    # progressions starting one step before, at and past the last value 10
+    starts = [(0, 8, 0, 0, 4), (0, 10, 0, 0, 2), (0, 100, 0, 0, 6)]
+    bits = mainline_module._reach([1], [0], 0, 10, starts)
+    marks = mainline_module._marks(bits, 0, 10, 2)
+    assert marks == marks_by_sets([(4, 8), (2, 10), (6, 100)], 0, 2, 6) == "000011"
+
+
+# the five ROADMAP anchors and every 17th group of bench/scan_pool.json
+ENGINE_GROUPS = (
+    "2:0,0,0,0,0,0,0,1", "5:1,0,3,0,1", "13:0,0,1", "7:0,0,0,1", "3:0,0,0,0,0,1",
+    "5:1", "3:1,4", "5:6,1", "3:1,6", "3:0,2,1", "5:10,1", "7:2,5", "7:6,2", "5:0,7",
+    "7:9,3", "7:3,6", "7:5,7", "3:0,3,2", "3:3,1,3", "2:2,1,0,1", "3:4,1,3",
+    "2:2,2,0,1", "2:2,0,5", "2:0,1,0,2", "3:1,4,3",
+)  # fmt: skip
+
+
+def test_engine_matches_the_walk_on_pool_groups():
+    # B, B // 2 and B + 7 on the anchors and a fixed spread of bench groups
+    for enc in ENGINE_GROUPS:
+        G = parse_group(enc)
+        twice = scan_bound(G).twice
+        for bound in (twice, twice // 2, twice + 7):
+            assert spectrum_module._admissible_twice(G, bound) == admissible_marks_by_walk(
+                G, bound
+            ), (enc, bound)
 
 
 def test_sieve_refuses_a_progression_off_the_lattice():
-    for progressions in ([(2, -4)], [(2, 1)], [(3, 0)]):
-        with pytest.raises(VerificationError):
-            spectrum_module._sieve(progressions, -2, 2, 10)
+    # the reached values of a start off the lattice -2 + 2N_0, or of a stride
+    # off it, are caught on the whole bitset
+    for start in ((0, 1, 0, 0, 2), (0, 0, 0, 0, 3)):
+        bits = mainline_module._reach([2], [0], -2, 16, [start])
+        with pytest.raises(VerificationError, match="leave the lattice -2"):
+            mainline_module._marks(bits, -2, 16, 2)
+    # a start below the least value, as a progression (f = 0) or a loop (f = 1)
+    for start in ((0, -4, 0, 0, 2), (1, -6, 0, 1, 1)):
+        with pytest.raises(VerificationError, match="below -2"):
+            mainline_module._reach([2], [0], -2, 16, [start])
 
 
 def test_full_spectrum_anchors():
