@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import conjecture, group, mainline, mingenus, signature, spectrum
@@ -43,6 +44,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> int:
 def _cmd_invariants(args) -> int:
     G = group.parse_group(args.group)
     inv = group.invariants(G)
+    # p^delta and |G| may have millions of digits, and str() is quadratic in them
+    n, order = str(inv.kulkarni_n), str(G.order)
     payload = {
         "group": G.encode(),
         "decomposition": G.describe(),
@@ -53,9 +56,9 @@ def _cmd_invariants(args) -> int:
         "e_prime": inv.e_prime,
         "delta": inv.delta,
         "epsilon": inv.epsilon,
-        "kulkarni_n": str(inv.kulkarni_n),
+        "kulkarni_n": n,
         "log_order": inv.log_order,
-        "order": str(G.order),
+        "order": order,
     }
     text = [
         f"group = {G.encode()}  ({G.describe()})",
@@ -63,8 +66,8 @@ def _cmd_invariants(args) -> int:
         f"e' = {inv.e_prime}",
         f"delta = {inv.delta}",
         f"epsilon = {inv.epsilon}",
-        f"N = {inv.kulkarni_n}",
-        f"|G| = {G.p}^{inv.log_order} = {G.order}",
+        f"N = {n}",
+        f"|G| = {G.p}^{inv.log_order} = {order}",
     ]
     return _emit(args, payload, text)
 
@@ -72,11 +75,12 @@ def _cmd_invariants(args) -> int:
 def _cmd_mu0(args) -> int:
     G = group.parse_group(args.group)
     report = mingenus.mu0(G)
+    genus, factored = str(report.minimum_genus), _factored_genus(G, report.mu0)
     payload = {
         "group": G.encode(),
         "mu0": str(report.mu0),
-        "minimum_genus": str(report.minimum_genus),
-        "minimum_genus_factored": _factored_genus(G, report.mu0),
+        "minimum_genus": genus,
+        "minimum_genus_factored": factored,
         "index_set": list(report.index_set),
         "zero_droppable": report.zero_droppable,
         "per_index": {
@@ -93,7 +97,7 @@ def _cmd_mu0(args) -> int:
     text = [
         f"group = {G.encode()}",
         f"mu0 = {report.mu0}",
-        f"minimum genus = {report.minimum_genus} = {_factored_genus(G, report.mu0)}",
+        f"minimum genus = {genus} = {factored}",
         f"index set = {{{','.join(str(i) for i in report.index_set)}}}",
         "attaining data: " + "  ".join(d.encode() for d in report.attaining_data),
     ]
@@ -103,11 +107,11 @@ def _cmd_mu0(args) -> int:
 def _cmd_mu0plus(args) -> int:
     G = group.parse_group(args.group)
     value = spectrum.mu0_plus(G)
-    genus = signature.genus_of(G.p_delta, value)
+    genus = str(signature.genus_of(G.p_delta, value))
     payload = {
         "group": G.encode(),
         "mu0_plus": str(value),
-        "mu_plus": str(genus),
+        "mu_plus": genus,
     }
     text = [f"group = {G.encode()}", f"mu0+ = {value}", f"mu+ = {genus}"]
     return _emit(args, payload, text)
@@ -241,7 +245,11 @@ def _cmd_search_talu(args) -> int:
     return _emit(args, payload, text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first call and shared by later
+    ones, which must not change it: building its ten subparsers took about
+    90 % of an in-process `run`."""
     parser = argparse.ArgumentParser(
         prog="genus-spectrum",
         description="Exact genus spectra of abelian p-groups.",
@@ -291,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except GenusSpectrumError as exc:

@@ -22,6 +22,10 @@ from .errors import (
     VerificationError,
 )
 
+# Most bits of p^delta and |G| the library computes, checked before the
+# power is: str() of 2^(10^6) took 1.7 s, and of 2^(4 * 10^6) 27 s.
+POWER_BITS_LIMIT = 4 * 10**6
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the bases above has no strong pseudoprime below this
 # bound (Sorenson and Webster, 2015), so the test is exact there.
@@ -103,7 +107,7 @@ class AbelianPGroup:
 
     @property
     def order(self) -> int:
-        return self.p ** self.log_order
+        return self._power(self.log_order, "|G|")
 
     @property
     def exponent(self) -> int:
@@ -117,7 +121,17 @@ class AbelianPGroup:
     def p_delta(self) -> int:
         """p^delta = |G| / exp(G), computed on each read: a cache would keep an
         int of that size on every group, and the search holds thousands."""
-        return self.p**self.delta
+        return self._power(self.delta, "p^delta")
+
+    def _power(self, k: int, what: str) -> int:
+        """p^k, or OutOfRangeError when it may pass POWER_BITS_LIMIT bits."""
+        # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
+        # bits, exactly that many for p = 2
+        if k * (self.p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1):
+            raise OutOfRangeError(
+                f"{what} = {self.p}^{k} of {self} may pass the limit of {POWER_BITS_LIMIT} bits"
+            )
+        return self.p**k
 
     @property
     def epsilon(self) -> int:

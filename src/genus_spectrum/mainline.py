@@ -216,23 +216,23 @@ def _mainline_reach(p: int, t: IntSeq, lo: int, bound: int) -> int:
 def is_mainline(p: int, entries, m: int) -> bool:
     """Is m = wp(b) for some non-increasing b dominating a?
 
-    Members are closed under adding q_1 = p^(e-1), and all integers from
-    U = wp(envelope) on are members, so each residue mod q_1 has its least
-    member below U + q_1.  The bitset (see `_reach`) ends at bound = min(m,
-    U + q_1 - 1), where m's residue lies among its top q_1 bits.  Above
-    SIEVE_LIMIT = 10^6 bitset bytes it raises OutOfRangeError first.
+    Every integer from U = wp(envelope) on is a member, so m >= U answers
+    True at once.  Below U the bitset (see `_reach`) runs from mu = wp(hull)
+    to m, and above SIEVE_LIMIT = 10^6 bitset bytes it raises
+    OutOfRangeError first.
     """
     if p < 2:
         raise InputError(f"mainline membership needs p >= 2, got {p}")
     t = hull(entries)
-    mu, q1 = wp_eval(p, t), p ** (len(t) - 1)
+    mu = wp_eval(p, t)
     if m < mu:
         return False
-    bound = min(m, wp_eval(p, envelope(p, t)) + q1 - 1)
-    if (size := (bound - mu) // 8 + 1) > SIEVE_LIMIT:
+    if m >= wp_eval(p, envelope(p, t)):
+        return True
+    if (size := (m - mu) // 8 + 1) > SIEVE_LIMIT:
         what = f"the membership test of {m} for {t} at p = {p}"
         raise OutOfRangeError(f"{what} needs {size} bitset bytes, over the limit of {SIEVE_LIMIT}")
-    return bool(_mainline_reach(p, t, mu, bound) >> bound - (bound - m) % q1 - mu & 1)
+    return bool(_mainline_reach(p, t, mu, m) >> m - mu & 1)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ I(G) = {i : s_i - s_{i+1} >= 2} u {i : s_i - s_{i+1} = 1, s_{i+1} odd}
 attaining datum.  Restricted to p-groups this sharpens Maclachlan's
 minimum-genus bound, whose per-orbit-genus values nu_h are reproduced here
 for comparison.
+
+All blocks come from one pass over i = 0, ..., e on doubled ints (`_blocks`):
+a running Horner prefix carries wp(s_1, ..., s_i), a table holds the powers
+of p, and each HalfInt is built once at the end of its step.  The pass keeps
+a self-check per block: gamma at the hull of the bumped sequence, evaluated
+by its own Horner loop, must equal mu_i plus the correction, or
+VerificationError is raised.  `min_gamma_A` and `mu0` both read that pass.
 """
 
 from __future__ import annotations
@@ -23,9 +30,8 @@ from dataclasses import dataclass
 
 from .errors import OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup
-from .halfint import HalfInt
-from .mainline import hull, wp_eval
-from .signature import GammaSeq, PDatum, alpha_inv, gamma, genus_of, period_weights
+from .halfint import HalfInt, twice_text
+from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
 
 
 def epsilon_i(G: AbelianPGroup, i: int) -> int:
@@ -34,9 +40,10 @@ def epsilon_i(G: AbelianPGroup, i: int) -> int:
     By convention 0 at the ends: i = 0 has no drop constraint, and at i = e
     the drop s_e - 2*floor(1/2) = s_e >= 2 holds already.
     """
-    if not 0 <= i <= G.e:
-        raise OutOfRangeError(f"index {i} outside [0, {G.e}]")
-    if i == 0 or i == G.e:
+    e = G.e
+    if not 0 <= i <= e:
+        raise OutOfRangeError(f"index {i} outside [0, {e}]")
+    if i == 0 or i == e:
         return 0
     s = G.s
     diff = s[i - 1] - s[i]
@@ -78,38 +85,50 @@ class IndexMinimum:
     attaining: GammaSeq
 
 
+def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
+    """Every block's minimum, i = 0, ..., e, in one pass (module docstring)."""
+    p, e, s = G.p, G.e, G.s
+    pw = [1]
+    for _ in range(e):
+        pw.append(pw[-1] * p)
+    top_twice = 2 * pw[e]
+    blocks = []
+    prefix = 0  # wp(s_1, ..., s_i)
+    for i in range(e + 1):
+        eps = epsilon_i(G, i)
+        tail = s[i] - s[i] % 2  # T = 2 * floor(s_{i+1} / 2)
+        if i:
+            prefix = prefix * p + s[i - 1]
+        mu = pw[e - i] * (tail + (p - 1) * prefix) - top_twice
+        correction = 0
+        if eps:
+            i_dprime, i_prime = _back_indices(G, i)
+            correction = pw[e - i_prime] - pw[e - i]
+            if eps == 2:
+                correction += pw[e - i_dprime] - pw[e - i]
+
+        attaining = s[:i] + (tail,) * (e + 1 - i)
+        if eps:  # the hull of the bumped sequence lifts the entries below the bump
+            bump = s[i - 1] + eps
+            attaining = tuple(max(x, bump) for x in s[:i]) + attaining[i:]
+        wp = 0
+        for x in attaining[:-1]:
+            wp = wp * p + x
+        value = (p - 1) * wp + tail - top_twice
+        if value != mu + correction:
+            raise VerificationError(
+                f"block {i} of {G}: gamma{attaining} = {twice_text(value)}, "
+                f"closed form gives {twice_text(mu + correction)}"
+            )
+        blocks.append(IndexMinimum(i, eps, HalfInt(mu), HalfInt(value), attaining))
+    return blocks
+
+
 def min_gamma_A(G: AbelianPGroup, i: int) -> IndexMinimum:
+    """The minimum over block A_i, read from `_blocks`."""
     if not 0 <= i <= G.e:
         raise OutOfRangeError(f"index {i} outside [0, {G.e}]")
-    p, e, s = G.p, G.e, G.s
-    eps = epsilon_i(G, i)
-    tail = 2 * (s[i] // 2)
-
-    prefix_wp = wp_eval(p, s[:i]) if i > 0 else 0
-    mu = HalfInt(-2 * p**e + p ** (e - i) * (2 * (s[i] // 2) + (p - 1) * prefix_wp))
-
-    if eps == 0:
-        correction = HalfInt(0)
-    else:
-        i_dprime, i_prime = _back_indices(G, i)
-        if eps == 1:
-            correction = HalfInt(p ** (e - i_prime) - p ** (e - i))
-        else:
-            correction = HalfInt(
-                p ** (e - i_dprime) + p ** (e - i_prime) - 2 * p ** (e - i)
-            )
-
-    bumped = list(s[:i])
-    if i > 0:
-        bumped[i - 1] += eps
-    attaining = hull(tuple(bumped) + (tail,) * (e + 1 - i))
-    min_value = gamma(p, e, attaining)
-    if min_value != mu + correction:
-        raise VerificationError(
-            f"block {i} of {G}: gamma{attaining} = {min_value}, "
-            f"closed form gives {mu + correction}"
-        )
-    return IndexMinimum(index=i, epsilon=eps, mu=mu, min_value=min_value, attaining=attaining)
+    return _blocks(G)[i]
 
 
 class IndexSet(tuple):
@@ -129,18 +148,20 @@ class IndexSet(tuple):
 
 def index_set(G: AbelianPGroup) -> IndexSet:
     """Indices whose block can realise the minimum (those with eps_i = 0)."""
-    return IndexSet(
-        (i for i in range(G.e + 1) if epsilon_i(G, i) == 0),
-        zero_droppable=G.s[0] % 2 == 0,
-    )
+    return _index_set(G, (epsilon_i(G, i) for i in range(G.e + 1)))
+
+
+def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
+    return IndexSet((i for i, eps in enumerate(epsilons) if eps == 0), G.s[0] % 2 == 0)
 
 
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
-    s = G.s
-    tail = 2 * (s[i] // 2)
-    return alpha_inv(s[:i] + (tail,) * (G.e + 1 - i))
+    x = [*G.r[:i], *(0,) * (G.e - i)]
+    if i:
+        x[i - 1] += G.s[i] % 2
+    return PDatum(x, G.s[i] // 2)
 
 
 @dataclass(frozen=True)
@@ -163,18 +184,17 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
     checks on the fly that dropping i = 0 for even s_1 never changes the
     result.
     """
-    per_index = {i: min_gamma_A(G, i) for i in range(G.e + 1)}
-    idx = index_set(G)
-    value = min(per_index[i].mu for i in idx)
-    if idx.zero_droppable and value != min(per_index[i].mu for i in idx if i != 0):
+    blocks = _blocks(G)
+    idx = _index_set(G, (m.epsilon for m in blocks))
+    twice = min(blocks[i].mu.twice for i in idx)
+    if idx.zero_droppable and twice != min(blocks[i].mu.twice for i in idx[1:]):
         raise VerificationError(f"dropping index 0 changes the reduced minimum of {G}")
-    data = tuple(attaining_datum(G, i) for i in idx if per_index[i].mu == value)
     return MinGenusReport(
-        mu0=value,
-        minimum_genus=genus_of(G.p_delta, value),
+        mu0=HalfInt(twice),
+        minimum_genus=genus_of_twice(G.p_delta, twice),
         index_set=idx,
-        per_index=per_index,
-        attaining_data=data,
+        per_index=dict(enumerate(blocks)),
+        attaining_data=tuple(attaining_datum(G, i) for i in idx if blocks[i].mu.twice == twice),
     )
 
 

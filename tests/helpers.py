@@ -14,17 +14,23 @@ from genus_spectrum import (
     RELATION_SAME,
     AbelianPGroup,
     HalfInt,
+    IndexMinimum,
+    MinGenusReport,
     PDatum,
+    attaining_datum,
     classify_gamma_seq,
     e_prime,
     envelope,
+    epsilon_i,
     gamma,
     hull,
+    index_set,
     is_admissible,
     mu0,
     reduced_genus,
     wp_eval,
 )
+from genus_spectrum.signature import genus_of
 
 
 def nonincreasing_seqs(length: int, max_entry: int, min_entry: int = 0):
@@ -210,6 +216,51 @@ def brute_min_reduced(G: AbelianPGroup) -> tuple[HalfInt, tuple[PDatum, ...]]:
             witnesses.append(d)
     assert best is not None
     return best, tuple(witnesses)
+
+
+def back_indices(G: AbelianPGroup, i: int) -> tuple[int, int]:
+    """(i'', i'): maximal j < i with s_j - s_i >= 2 resp. >= 1; 0 if none."""
+    s = G.s
+    i_prime = next((j for j in range(i - 1, 0, -1) if s[j - 1] - s[i - 1] >= 1), 0)
+    i_dprime = next((j for j in range(i_prime, 0, -1) if s[j - 1] - s[i - 1] >= 2), 0)
+    return i_dprime, i_prime
+
+
+def min_gamma_by_route(G: AbelianPGroup, i: int) -> IndexMinimum:
+    """One block's minimum by wp_eval, hull and gamma on that block alone."""
+    p, e, s = G.p, G.e, G.s
+    eps = epsilon_i(G, i)
+    tail = 2 * (s[i] // 2)
+    prefix_wp = wp_eval(p, s[:i]) if i > 0 else 0
+    mu = HalfInt(-2 * p**e + p ** (e - i) * (tail + (p - 1) * prefix_wp))
+    correction = HalfInt(0)
+    if eps:
+        i_dprime, i_prime = back_indices(G, i)
+        correction = HalfInt(p ** (e - i_prime) - p ** (e - i))
+        if eps == 2:
+            correction += HalfInt(p ** (e - i_dprime) - p ** (e - i))
+    bumped = list(s[:i])
+    if i > 0:
+        bumped[i - 1] += eps
+    attaining = hull(tuple(bumped) + (tail,) * (e + 1 - i))
+    min_value = gamma(p, e, attaining)
+    assert min_value == mu + correction, (G, i)
+    return IndexMinimum(index=i, epsilon=eps, mu=mu, min_value=min_value, attaining=attaining)
+
+
+def mu0_by_route(G: AbelianPGroup) -> MinGenusReport:
+    """The reduced minimum genus report, one block at a time."""
+    per_index = {i: min_gamma_by_route(G, i) for i in range(G.e + 1)}
+    idx = index_set(G)
+    value = min(per_index[i].mu for i in idx)
+    data = tuple(attaining_datum(G, i) for i in idx if per_index[i].mu == value)
+    return MinGenusReport(
+        mu0=value,
+        minimum_genus=genus_of(G.p_delta, value),
+        index_set=idx,
+        per_index=per_index,
+        attaining_data=data,
+    )
 
 
 def _bitset_side(p: int, e: int, top_floor: int, pin_top: bool, scale: int, delta_max: int):

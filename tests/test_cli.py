@@ -5,13 +5,16 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genus_spectrum import HalfInt, mu0, oracle_reduced_spectrum, parse_group
-from genus_spectrum.cli import run
+from genus_spectrum.cli import build_parser, run
+
+CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
 
 
 def capture(capsys, argv):
@@ -339,8 +342,63 @@ def test_oracle_renders_each_value_once(monkeypatch, capsys):
         assert len(calls) == len(values) + 1
 
 
+def test_huge_multiplicities_exit_1(capsys):
+    # p^delta would have 10^12 bits: refused before it is computed
+    for verb in ("invariants", "mu0", "mu0plus", "classify", "spectrum"):
+        code, out, err = capture(capsys, [verb, "2:1000000000000,1"])
+        assert code == 1 and out == "", verb
+        assert err.startswith("error: p^delta = 2^1000000000000 of 2:1000000000000,1"), err
+        assert err.endswith("the limit of 4000000 bits\n") and err.count("\n") == 1, err
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_gives_the_same_bytes():
+    # every run in a process reuses one parser; a usage error and --help in
+    # between must leave no trace in later output
+    cases = [case["argv"] for case in json.loads(CLI_EXPECTED.read_text(encoding="utf-8"))]
+    usage, help_ = ["oracle", "3:0,1"], ["mu0", "--help"]
+    build_parser.cache_clear()
+    first = [_run_captured(argv) for argv in cases]
+    between = [_run_captured(usage), _run_captured(help_)]
+    assert [code for code, _, _ in first] == [0] * len(cases)
+    assert [code for code, _, _ in between] == [2, 0]
+    assert "the following arguments are required: --bound" in between[0][2]
+    assert [_run_captured(argv) for argv in cases] == first
+    build_parser.cache_clear()
+    assert [_run_captured(usage), _run_captured(help_)] == between
+
+
+def test_the_parser_is_built_once_per_process_and_not_on_import():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from genus_spectrum import cli\n"
+        "print(len(built))\n"
+        "cli.run(['classify', '2:2'])\n"
+        "cli.run(['mu0', '2:2'])\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # none on import; the top parser and its ten verbs on the first run only
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "11"), proc.stdout + proc.stderr
+
+
 # argv pieces for the fuzz test: small and huge ints, and malformed text.
-# Multiplicities stay small: p^delta alone is unbounded work for a huge r_i.
 _small = st.integers(-2, 40)
 _huge = st.integers(10**12, 10**40) | st.integers(-(10**40), -(10**12))
 _number = st.one_of(_small, _huge).map(str)
@@ -349,7 +407,7 @@ _token = _number | _bad | st.text(max_size=6)
 _group = st.builds(
     lambda p, r: f"{p}:{','.join(map(str, r))}",
     st.sampled_from([2, 3, 5, 7, 13, 1, 4, 1000003, 10**40]),
-    st.lists(st.integers(-1, 4), min_size=1, max_size=5),
+    st.lists(st.integers(-1, 4) | st.integers(10**12, 10**40), min_size=1, max_size=5),
 ) | _token
 _verbs = st.sampled_from(["invariants", "mu0", "mu0plus", "spectrum", "classify"])
 _int = st.integers

@@ -14,6 +14,7 @@ from genus_spectrum import (
     is_prime,
     new_group,
     parse_group,
+    varying_exponent_pair,
 )
 from genus_spectrum.group import kulkarni_n
 from helpers import all_groups
@@ -121,3 +122,22 @@ def test_is_prime_rejects_pseudoprimes_and_decides_large_primes():
 def test_is_prime_refuses_beyond_its_exact_range():
     with pytest.raises(OutOfRangeError):
         is_prime(4 * 10**24)
+
+
+def test_huge_powers_are_refused_before_they_are_computed():
+    # past POWER_BITS_LIMIT = 4 * 10^6 bits p^delta and |G| raise at once
+    # instead of hanging
+    G = AbelianPGroup(2, (10**12,))
+    with pytest.raises(OutOfRangeError, match="p\\^delta = 2\\^999999999999"):
+        G.p_delta
+    with pytest.raises(OutOfRangeError, match="the limit of 4000000 bits"):
+        G.order
+    edge = AbelianPGroup(2, (4 * 10**6,))
+    assert edge.p_delta.bit_length() == 4 * 10**6
+    with pytest.raises(OutOfRangeError):
+        edge.order
+    # the estimate is within 1 % above the bit length at p = 3
+    assert AbelianPGroup(3, (2_480_001,)).p_delta.bit_length() > 3.9 * 10**6
+    # the p = 17 series group of criterion 05 stays well inside the limit
+    for big in varying_exponent_pair(17):
+        assert big.delta == 101535 and big.p_delta.bit_length() < 5 * 10**5

@@ -128,7 +128,7 @@ def test_membership_matches_enumerator(p, a, data):
 
 
 def test_membership_of_a_huge_integer_enumerates_only_to_the_envelope(monkeypatch):
-    # each residue mod p^(e-1) has its least member below wp(envelope) + p^(e-1)
+    # integers past wp(envelope) need no bitset, and those below it none past it
     t = (4, 2, 1)
     cap = wp_eval(3, envelope(3, t)) + 3**2 - 1
     engine = mainline._reach
@@ -164,7 +164,7 @@ def test_coefficients_are_the_values_of_leading_ones(monkeypatch):
     for p in (2, 3, 5):
         for e in range(1, 9):
             seen.clear()
-            is_mainline(p, (0,) * e, 0)
+            mainline._mainline_reach(p, (0,) * e, 0, 0)
             assert seen == [[wp_eval(p, [1] * j + [0] * (e - j)) for j in range(1, e + 1)]]
 
 
@@ -190,6 +190,29 @@ def test_enforced_gap_profile(p, increments):
 @given(primes, noninc, st.integers(0, 8))
 def test_cofinite_beyond_envelope(p, a, extra):
     assert is_mainline(p, a, wp_eval(p, envelope(p, a)) + extra)
+
+
+@given(primes, noninc)
+@settings(deadline=None)
+def test_every_integer_from_the_envelope_on_is_reached(p, a):
+    # is_mainline answers m >= U = wp(envelope) without a bitset.  Members are
+    # closed under adding q_1 = p^(e-1), so one full window [U, U + q_1) of
+    # members proves the claim; both the engine and the enumerator must reach it
+    mu, upper, q1 = wp_eval(p, a), wp_eval(p, envelope(p, a)), p ** (len(a) - 1)
+    window = range(upper, upper + q1)
+    bits = mainline._mainline_reach(p, a, mu, window[-1])
+    assert bits >> upper - mu == (1 << q1) - 1
+    assert set(window) <= naive_mainline_members(p, a, window[-1])
+
+
+def test_membership_past_the_envelope_needs_no_bitset(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("built a bitset past the envelope")
+
+    monkeypatch.setattr(mainline, "_reach", enumerate_nothing)
+    # U = 369 098 754; a bitset up to 10^30 would be refused by the preflight
+    assert is_mainline(2, (0,) * 24, 10**30)
+    assert is_mainline(2, (0,) * 24, wp_eval(2, envelope(2, (0,) * 24)))
 
 
 @given(primes, st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple))

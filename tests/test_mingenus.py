@@ -1,10 +1,16 @@
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_spectrum import (
     AbelianPGroup,
     HalfInt,
     OutOfRangeError,
     UnsupportedError,
+    VerificationError,
     classify_gamma_seq,
     epsilon_i,
     gamma,
@@ -12,10 +18,18 @@ from genus_spectrum import (
     is_admissible,
     maclachlan_nu,
     min_gamma_A,
+    mingenus,
     mu0,
     reduced_genus,
 )
-from helpers import all_groups, brute_min_reduced
+from helpers import all_groups, brute_min_reduced, mu0_by_route
+
+groups = st.builds(
+    lambda p, r, top: AbelianPGroup(p, (*r, top)),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.lists(st.integers(0, 6), max_size=5),
+    st.integers(1, 6),
+)
 
 
 def test_epsilon_examples():
@@ -47,6 +61,38 @@ def test_min_gamma_examples():
 
     m = min_gamma_A(AbelianPGroup(3, (0, 1)), 0)
     assert m.mu == 0 and m.attaining == (2, 2, 2)
+    with pytest.raises(OutOfRangeError):
+        min_gamma_A(AbelianPGroup(3, (0, 1)), 3)
+
+
+@given(groups)
+@settings(max_examples=300, deadline=None)
+def test_mu0_matches_the_route_per_block(G):
+    # one pass over the blocks against wp_eval, hull and gamma on each block
+    report = mu0(G)
+    assert report == mu0_by_route(G)
+    assert report.zero_droppable == (G.s[0] % 2 == 0)
+
+
+def test_a_wrong_correction_raises(monkeypatch):
+    # s = (3, 2, 1): block 1 needs a bump of 1, whose correction reads (i'', i')
+    monkeypatch.setattr(mingenus, "_back_indices", lambda G, i: (i, i))
+    with pytest.raises(VerificationError, match="block 1 of 3:1,1"):
+        mu0(AbelianPGroup(3, (1, 1)))
+
+
+def test_a_wrong_correction_raises_under_optimization():
+    # python -O strips assert statements; the per-block check must not be one
+    code = (
+        "from genus_spectrum import AbelianPGroup, VerificationError, mingenus, mu0\n"
+        "mingenus._back_indices = lambda G, i: (i, i)\n"
+        "try:\n"
+        "    mu0(AbelianPGroup(3, (1, 1)))\n"
+        "except VerificationError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "raised\n", proc.stderr
 
 
 def test_min_gamma_attaining_membership():
