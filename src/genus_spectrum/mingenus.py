@@ -108,7 +108,7 @@ def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
                 correction += pw[e - i_dprime] - pw[e - i]
 
         attaining = s[:i] + (tail,) * (e + 1 - i)
-        if eps:  # the hull of the bumped sequence lifts the entries below the bump
+        if eps:  # the hull lifts the earlier entries that are smaller than the bumped one
             bump = s[i - 1] + eps
             attaining = tuple(max(x, bump) for x in s[:i]) + attaining[i:]
         wp = 0
