@@ -215,9 +215,6 @@ class _Side:
         """
         v = self._values
         n = len(v) - 1
-        if j == 0 and n:
-            q, r = divmod(d, n)
-            return q * v[n] + v[r], d * v[1]
         if d == 0:
             return 0, 0
         if j == n:

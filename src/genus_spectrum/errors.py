@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of inputs."""
+
+from operator import index
 
 
 class GenusSpectrumError(ValueError):
@@ -31,3 +33,11 @@ class OutOfFamilyError(GenusSpectrumError):
 
 class VerificationError(RuntimeError):
     """An internal completeness self-check failed; results would be unreliable."""
+
+
+def _as_int(value) -> int:
+    """value as an exact int (operator.index); a float, str or other non-int raises InputError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"expected an integer, got {value!r}") from None

@@ -20,6 +20,7 @@ from .errors import (
     InvalidPrimeError,
     OutOfRangeError,
     VerificationError,
+    _as_int,
 )
 
 # Most bits of p^delta and |G| the library computes, checked before the
@@ -68,7 +69,8 @@ class AbelianPGroup:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r = tuple(map(int, self.r))
+        object.__setattr__(self, "p", _as_int(self.p))
+        r = tuple(map(_as_int, self.r))
         object.__setattr__(self, "r", r)
         if not is_prime(self.p):
             raise InvalidPrimeError(f"{self.p} is not prime")

@@ -112,12 +112,11 @@ class HalfInt:
     @staticmethod
     def parse(text: str) -> "HalfInt":
         body = text.strip()
+        half = body.endswith("/2")
         try:
-            if body.endswith("/2"):
-                num = int(body[:-2])
-                if num % 2 == 0:
-                    raise InputError(f"{text!r} is not in lowest terms")
-                return HalfInt(num)
-            return HalfInt.of(int(body))
+            num = int(body.removesuffix("/2"))
         except ValueError as exc:
             raise InputError(f"cannot parse half-integer {text!r}") from exc
+        if half and num % 2 == 0:
+            raise InputError(f"{text!r} is not in lowest terms")
+        return HalfInt(num if half else 2 * num)

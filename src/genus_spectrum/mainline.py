@@ -27,7 +27,7 @@ from itertools import accumulate, compress
 from operator import mul, neg, sub
 from typing import Callable
 
-from .errors import InputError, OutOfRangeError, VerificationError
+from .errors import InputError, OutOfRangeError, VerificationError, _as_int
 
 # Most values mainline_profile, spectrum.full_spectrum and spectrum.
 # oracle_reduced_spectrum may mark, and most bitset bytes of is_mainline.
@@ -59,7 +59,7 @@ IntSeq = tuple[int, ...]
 
 
 def _checked(entries) -> IntSeq:
-    seq = tuple(int(x) for x in entries)
+    seq = tuple(map(_as_int, entries))
     if not seq:
         raise InputError("sequence must be non-empty")
     if any(x < 0 for x in seq):

@@ -26,7 +26,9 @@ VerificationError is raised.  `min_gamma_A` and `mu0` both read that pass.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import OutOfRangeError, UnsupportedError, VerificationError
 from .group import AbelianPGroup
@@ -35,43 +37,28 @@ from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
 
 
 def epsilon_i(G: AbelianPGroup, i: int) -> int:
-    """Least bump in {0,1,2} with s_i + bump - 2*floor(s_{i+1}/2) >= 2.
+    """Least bump in {0,1,2} with s_i + bump - 2*floor(s_{i+1}/2) >= 2, that
+    is max(0, 2 - s_i + 2*floor(s_{i+1}/2)), at most 2 as s does not increase.
 
-    By convention 0 at the ends: i = 0 has no drop constraint, and at i = e
-    the drop s_e - 2*floor(1/2) = s_e >= 2 holds already.
+    0 at the ends: i = 0 has no drop constraint, and at i = e the formula
+    gives 0, as the drop s_e - 2*floor(1/2) = s_e >= 2 holds already.
     """
-    e = G.e
-    if not 0 <= i <= e:
-        raise OutOfRangeError(f"index {i} outside [0, {e}]")
-    if i == 0 or i == e:
-        return 0
+    if not 0 <= i <= G.e:
+        raise OutOfRangeError(f"index {i} outside [0, {G.e}]")
     s = G.s
-    diff = s[i - 1] - s[i]
-    if diff >= 2:
-        return 0
-    if diff == 1:
-        return 0 if s[i] % 2 == 1 else 1
-    return 1 if s[i] % 2 == 1 else 2
+    return max(0, 2 - s[i - 1] + s[i] - s[i] % 2) if i else 0
 
 
 def _back_indices(G: AbelianPGroup, i: int) -> tuple[int, int]:
-    """(i'', i'): maximal j < i with s_j - s_i >= 2 resp. >= 1; 0 if none.
+    """(i'', i'): maximal j < i with s_j - s_i >= 2 resp. >= 1; 0 if none; 1 <= i <= e.
 
-    Index 0 stands for the formal s_0 = infinity, covering the degenerate
-    cases s_1 = s_i and s_1 - s_i <= 1.
+    s does not increase, so the j with s_j >= s_i + k form a prefix 1, ...,
+    m of the indices, all below i, and the maximal one is its length m,
+    found by bisection.  Index 0 stands for the formal s_0 = infinity,
+    covering the degenerate cases s_1 = s_i and s_1 - s_i <= 1.
     """
     s = G.s
-    i_prime = 0
-    for j in range(i - 1, 0, -1):
-        if s[j - 1] - s[i - 1] >= 1:
-            i_prime = j
-            break
-    i_dprime = 0
-    for j in range(i_prime, 0, -1):
-        if s[j - 1] - s[i - 1] >= 2:
-            i_dprime = j
-            break
-    return i_dprime, i_prime
+    return bisect_right(s, -s[i - 1] - 2, key=neg), bisect_right(s, -s[i - 1] - 1, key=neg)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import lt
 
-from .errors import InputError, VerificationError
+from .errors import InputError, VerificationError, _as_int
 from .group import AbelianPGroup, e_prime, top_pair_index
 from .halfint import HalfInt, twice_text
 from .mainline import is_nonincreasing, wp_eval
@@ -41,7 +42,8 @@ class PDatum:
     h: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
+        object.__setattr__(self, "x", tuple(map(_as_int, self.x)))
+        object.__setattr__(self, "h", _as_int(self.h))
         if not self.x:
             raise InputError("datum needs at least one period slot")
         if any(v < 0 for v in self.x):
@@ -135,9 +137,11 @@ def alpha(d: PDatum) -> GammaSeq:
     return tuple(out)
 
 
-def alpha_inv(a) -> PDatum:
-    """Inverse of alpha on non-increasing sequences with even last entry."""
-    seq = tuple(int(v) for v in a)
+def _gamma_seq(a, length: int | None = None) -> GammaSeq:
+    """a checked as a gamma sequence, of the given length if any; InputError if it is none."""
+    seq = tuple(map(_as_int, a))
+    if length is not None and len(seq) != length:
+        raise InputError(f"gamma sequence must have length {length}, got {len(seq)}")
     if len(seq) < 2:
         raise InputError("gamma sequence needs length e+1 >= 2")
     if any(v < 0 for v in seq):
@@ -146,15 +150,19 @@ def alpha_inv(a) -> PDatum:
         raise InputError(f"gamma sequence must be non-increasing, got {seq}")
     if seq[-1] % 2 != 0:
         raise InputError(f"gamma sequence must end in an even entry, got {seq}")
+    return seq
+
+
+def alpha_inv(a) -> PDatum:
+    """Inverse of alpha on non-increasing sequences with even last entry."""
+    seq = _gamma_seq(a)
     x = tuple(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
     return PDatum(x, seq[-1] // 2)
 
 
 def gamma(p: int, e: int, a) -> HalfInt:
     """-p^e + a_{e+1}/2 + ((p-1)/2) wp(a_1..a_e); equals reduced_genus o alpha_inv."""
-    seq = tuple(int(v) for v in a)
-    if len(seq) != e + 1:
-        raise InputError(f"gamma sequence must have length {e + 1}, got {len(seq)}")
+    seq = _gamma_seq(a, e + 1)
     return HalfInt(-2 * p**e + seq[-1] + (p - 1) * wp_eval(p, seq[:-1]))
 
 
@@ -193,25 +201,15 @@ def classify_gamma_seq(G: AbelianPGroup, a) -> int | None:
     least 2 at position i; for p = 2 and i above e'(G) the drop must also be
     even.  The blocks are pairwise disjoint, and a lies in one of them
     exactly when alpha_inv(a) is admissible.
+
+    By that drop, block i holds only sequences whose constant tail starts at
+    position i + 1, so one backward pass finds the one block to test.
     """
-    seq = tuple(int(v) for v in a)
-    if len(seq) != G.e + 1:
-        raise InputError(f"gamma sequence must have length {G.e + 1}, got {len(seq)}")
-    if not is_nonincreasing(seq) or seq[-1] % 2 != 0 or any(v < 0 for v in seq):
-        raise InputError(f"not a valid gamma sequence: {seq}")
-    s = G.s
-    ep = e_prime(G)
-    for i in range(G.e + 1):
-        if any(seq[j] < s[j] for j in range(i)):
-            continue
-        tail = seq[i:]
-        if any(v != tail[0] for v in tail) or tail[0] < s[i] - 1:
-            continue
-        if i >= 1:
-            drop = seq[i - 1] - seq[i]
-            if drop < 2:
-                continue
-            if G.p == 2 and i > ep and drop % 2 != 0:
-                continue
-        return i
-    return None
+    seq = _gamma_seq(a, G.e + 1)
+    s, i = G.s, G.e
+    while i and seq[i - 1] == seq[i]:
+        i -= 1
+    drop = seq[i - 1] - seq[i] if i else 2  # block 0 asks for no drop
+    if seq[i] < s[i] - 1 or any(map(lt, seq[:i], s)) or drop < 2:
+        return None
+    return None if G.p == 2 and i > e_prime(G) and drop % 2 else i

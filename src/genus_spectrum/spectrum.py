@@ -93,7 +93,7 @@ class SpectrumDescriptor:
         for v in (self.min_reduced, self.stable_reduced):
             if not self.in_lattice(v):
                 raise InputError(f"{v} is not in the epsilon={self.epsilon} lattice")
-        lo, hi, step = self.min_reduced.twice, self.stable_reduced.twice, 2 // self.epsilon
+        lo, hi, step = self.min_reduced.twice, self.stable_reduced.twice, _lattice(self.epsilon)[1]
         for t in gaps_twice:
             if t % step:
                 raise InputError(f"{twice_text(t)} is not in the epsilon={self.epsilon} lattice")
@@ -110,16 +110,15 @@ class SpectrumDescriptor:
 
     @property
     def step(self) -> HalfInt:
-        return HalfInt(2 // self.epsilon)
+        return HalfInt(_lattice(self.epsilon)[1])
 
     @property
     def lattice_min(self) -> HalfInt:
-        return HalfInt(-2 // self.epsilon)
+        return HalfInt(_lattice(self.epsilon)[0])
 
     def in_lattice(self, v: HalfInt) -> bool:
-        if v.twice < -2 // self.epsilon:
-            return False
-        return self.epsilon == 2 or v.twice % 2 == 0
+        lo, step = _lattice(self.epsilon)
+        return v.twice >= lo and v.twice % step == 0
 
     @cached_property
     def _gap_set(self) -> frozenset[int]:

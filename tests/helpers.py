@@ -218,6 +218,22 @@ def brute_min_reduced(G: AbelianPGroup) -> tuple[HalfInt, tuple[PDatum, ...]]:
     return best, tuple(witnesses)
 
 
+def blocks_containing(G: AbelianPGroup, seq) -> list[int]:
+    """The indices i = 0, ..., e of the admissibility blocks holding the gamma
+    sequence seq, by testing every block in turn against its definition."""
+    s, ep = G.s, e_prime(G)
+    out = []
+    for i in range(G.e + 1):
+        ok = all(seq[j] >= s[j] for j in range(i))
+        ok = ok and len(set(seq[i:])) == 1 and seq[i] >= s[i] - 1
+        if i >= 1:
+            drop = seq[i - 1] - seq[i]
+            ok = ok and drop >= 2 and not (G.p == 2 and i > ep and drop % 2 != 0)
+        if ok:
+            out.append(i)
+    return out
+
+
 def back_indices(G: AbelianPGroup, i: int) -> tuple[int, int]:
     """(i'', i'): maximal j < i with s_j - s_i >= 2 resp. >= 1; 0 if none."""
     s = G.s

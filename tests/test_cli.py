@@ -144,6 +144,8 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
     code, _, err = capture(capsys, ["admissible", "2:1,1", "--datum", "1,2,3;0"])
     assert code == 1
+    code, _, err = capture(capsys, ["oracle", "2:1", "--bound", "2/2"])
+    assert code == 1 and err == "error: '2/2' is not in lowest terms\n"
 
 
 def test_usage_errors_exit_2():

@@ -37,6 +37,13 @@ def test_construction():
         new_group(1, (1,))
 
 
+@pytest.mark.parametrize("p, r", [(2, (1.9,)), (2.0, (1, 1)), (2, ("1",)), ("2", (1,))])
+def test_non_integer_invariants_are_refused(p, r):
+    # int() would truncate 1.9 to 1 and parse "1"; p and r must be ints
+    with pytest.raises(InputError, match="expected an integer"):
+        AbelianPGroup(p, r)
+
+
 def test_parse():
     assert parse_group("3:2,9,1").r == (2, 9, 1)
     assert parse_group("2:1,1") == AbelianPGroup(2, (1, 1))

@@ -38,6 +38,20 @@ def test_wp_eval():
         wp_eval(2, (1, -1))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mainline_profile(2, [2.7, 1]),
+        lambda: wp_eval(2, (1.0,)),
+        lambda: hull(("3",)),
+    ],
+)
+def test_non_integer_entries_are_refused(call):
+    # int() would truncate 2.7 to 2 and parse "3"; the entries must be ints
+    with pytest.raises(InputError, match="expected an integer"):
+        call()
+
+
 def test_hull():
     assert hull((1, 3, 2)) == (3, 3, 2)
     assert hull((5, 2, 2)) == (5, 2, 2)

@@ -22,7 +22,7 @@ from genus_spectrum import (
     mu0,
     reduced_genus,
 )
-from helpers import all_groups, brute_min_reduced, mu0_by_route
+from helpers import all_groups, back_indices, brute_min_reduced, mu0_by_route
 
 groups = st.builds(
     lambda p, r, top: AbelianPGroup(p, (*r, top)),
@@ -44,6 +44,22 @@ def test_epsilon_examples():
     assert epsilon_i(AbelianPGroup(2, (1, 2)), 1) == 0  # s = (4,3,1): drop 1, odd
     with pytest.raises(OutOfRangeError):
         epsilon_i(AbelianPGroup(2, (1, 1)), 3)
+
+
+def test_epsilon_is_the_least_bump_that_works():
+    # the definition: the first of 0, 1, 2 making the drop onto 2 floor(s_{i+1}/2)
+    # at least 2, and 0 at i = 0, which has no drop
+    for G in all_groups((2, 3, 5), 4, 3):
+        s = G.s
+        for i in range(G.e + 1):
+            bumps = (b for b in (0, 1, 2) if s[i - 1] + b - 2 * (s[i] // 2) >= 2)
+            assert epsilon_i(G, i) == (next(bumps) if i else 0), (G, i)
+
+
+def test_back_indices_match_the_backward_scan():
+    for G in all_groups((2, 3), 6, 3):
+        for i in range(1, G.e + 1):
+            assert mingenus._back_indices(G, i) == back_indices(G, i), (G, i)
 
 
 def test_min_gamma_examples():

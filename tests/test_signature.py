@@ -20,26 +20,11 @@ from genus_spectrum import (
     reduced_genus,
 )
 from genus_spectrum.signature import genus_of, period_weights
-from helpers import all_groups, data_within, nonincreasing_seqs, weights
+from helpers import all_groups, blocks_containing, data_within, nonincreasing_seqs, weights
 
 Z2Z4 = AbelianPGroup(2, (1, 1))
 Z8 = AbelianPGroup(2, (0, 0, 1))
 Z2Z8 = AbelianPGroup(2, (1, 0, 1))
-
-
-def membership_count(G, seq):
-    """Independent restatement of the block conditions, counting matches."""
-    s, ep = G.s, e_prime(G)
-    count = 0
-    for i in range(G.e + 1):
-        ok = all(seq[j] >= s[j] for j in range(i))
-        ok = ok and len(set(seq[i:])) == 1 and seq[i] >= s[i] - 1
-        if i >= 1:
-            ok = ok and seq[i - 1] - seq[i] >= 2
-            if G.p == 2 and i > ep:
-                ok = ok and (seq[i - 1] - seq[i]) % 2 == 0
-        count += ok
-    return count
 
 
 def test_datum_basics():
@@ -107,6 +92,10 @@ def test_gamma_examples():
         assert gamma(3, 2, (2 * a,) * 3) == HalfInt.of((a - 1) * 9)
     with pytest.raises(InputError):
         gamma(2, 3, (3, 2, 0))
+    # gamma = reduced_genus o alpha_inv has alpha_inv's domain
+    for seq in ((3, 2, -2), (2, 3, 0), (3, 2, 1)):
+        with pytest.raises(InputError):
+            gamma(2, 2, seq)
 
 
 def test_admissibility_examples():
@@ -129,6 +118,21 @@ def test_classify_examples():
     assert classify_gamma_seq(Z2Z8, (3, 3, 3, 0)) is None
     assert classify_gamma_seq(Z2Z4, (1, 0, 0)) is None
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PDatum((1.5,), 0),
+        lambda: PDatum((0, 2), 0.5),
+        lambda: PDatum(("1",), 0),
+        lambda: alpha_inv((2.5, 0)),
+        lambda: classify_gamma_seq(Z2Z4, (2, 2, 0.0)),
+    ],
+)
+def test_non_integer_entries_are_refused(make):
+    # int() would truncate 1.5 to 1 and parse "1"; the entries must be ints
+    with pytest.raises(InputError, match="expected an integer"):
+        make()
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 5), min_size=1, max_size=5))
@@ -168,15 +172,20 @@ def test_gamma_matches_reduced_genus(p, d):
 
 
 def test_predicate_matches_blocks_exhaustively():
-    for G in all_groups((2, 3), 3, 2):
-        for seq in nonincreasing_seqs(G.e + 1, 6):
+    # classify_gamma_seq tests only the block where the constant tail starts;
+    # the reference tests all e + 1 blocks
+    pairs = 0
+    for G in all_groups((2, 3, 5), 3, 3):
+        for seq in nonincreasing_seqs(G.e + 1, 7):
             if seq[-1] % 2 != 0:
                 continue
-            count = membership_count(G, seq)
-            assert count <= 1, (G, seq)
+            blocks = blocks_containing(G, seq)
+            assert len(blocks) <= 1, (G, seq)
             idx = classify_gamma_seq(G, seq)
-            assert (idx is not None) == (count == 1), (G, seq)
+            assert idx == (blocks[0] if blocks else None), (G, seq)
             assert (idx is not None) == is_admissible(G, alpha_inv(seq)), (G, seq)
+            pairs += 1
+    assert pairs == 31_500
 
 
 def test_blocks_match_predicate_on_data():
