@@ -15,15 +15,8 @@ from functools import cache
 from typing import Sequence
 
 from . import conjecture, group, mainline, mingenus, signature, spectrum
-from .errors import GenusSpectrumError, InputError
+from .errors import GenusSpectrumError, _parse_ints
 from .halfint import HalfInt, twice_text
-
-
-def _parse_seq(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"non-numeric token in sequence {text!r}") from exc
 
 
 def _factored_genus(G: group.AbelianPGroup, value: HalfInt) -> str:
@@ -185,7 +178,7 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_mainline(args) -> int:
-    seq = _parse_seq(args.sequence)
+    seq = _parse_ints(args.sequence.split(","), "sequence", args.sequence)
     profile = mainline.mainline_profile(args.p, seq)
     payload = {
         "p": args.p,
@@ -221,13 +214,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search_talu(args) -> int:
-    relation = {
-        "same-lattice": conjecture.RELATION_SAME,
-        "p2-mixed": conjecture.RELATION_MIXED,
-        "all": None,
-    }[args.relation]
     pairs = conjecture.search_counterexamples(
-        args.p, args.e, args.e_tilde, args.delta_max, relation=relation
+        args.p, args.e, args.e_tilde, args.delta_max, relation=args.relations[args.relation]
     )
     payload = {
         "p": args.p,
@@ -290,11 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
 
     sp = add("search-talu", _cmd_search_talu, help="equal-spectrum pairs of non-isomorphic groups")
+    # --relation's names, each with the library relation it selects
+    relations = {
+        "same-lattice": conjecture.RELATION_SAME,
+        "p2-mixed": conjecture.RELATION_MIXED,
+        "all": None,
+    }
+    sp.set_defaults(relations=relations)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--e-tilde", type=int, required=True)
     sp.add_argument("--delta-max", type=int, required=True)
-    sp.add_argument("--relation", choices=("same-lattice", "p2-mixed", "all"), default="all")
+    sp.add_argument("--relation", choices=relations, default="all")
     return parser
 
 

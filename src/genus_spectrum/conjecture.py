@@ -49,8 +49,10 @@ from .errors import (
     OutOfRangeError,
     UnsupportedError,
     VerificationError,
+    _as_int,
+    _int_in,
 )
-from .group import AbelianPGroup, is_prime, kulkarni_n
+from .group import AbelianPGroup, _prime, is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
 from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_min_large
@@ -69,8 +71,7 @@ PAIR_LIMIT = 10**5
 
 def rho(p: int) -> tuple[int, int, int]:
     """Kernel vector (p+2, -2p-1, p) of the (order, mu_0) pairing at e = 3."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    p = _prime(p)
     return (p + 2, -2 * p - 1, p)
 
 
@@ -86,6 +87,7 @@ def e3_family(G: AbelianPGroup, k: int) -> AbelianPGroup:
     if not has_large_invariants(G):
         raise OutOfFamilyError(f"{G} does not satisfy the large-invariant hypothesis")
     vec = rho(G.p)
+    k = _as_int(k)
     r = tuple(G.r[i] + k * vec[i] for i in range(3))
     try:
         shifted = AbelianPGroup(G.p, r)
@@ -121,6 +123,7 @@ def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
 
 def varying_exponent_pair(p: int) -> tuple[AbelianPGroup, AbelianPGroup]:
     """The equal-spectrum series with exponents p^(p+2) and p^(p+1), p odd."""
+    p = _as_int(p)
     if not is_prime(p) or p == 2:
         raise UnsupportedError(f"the varying-exponent series needs an odd prime, got {p}")
     r = (p - 1,) * p + (p, p**3 + p**2 - 2)
@@ -581,10 +584,8 @@ def search_counterexamples(
     against its deficiency and mu_0, and the two sides' genus progressions
     are compared once per value, not once per pair.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if not 1 <= e_tilde <= e:
-        raise InputError(f"need 1 <= e_tilde <= e, got e={e}, e_tilde={e_tilde}")
+    p, e = _prime(p), _as_int(e)
+    e_tilde, delta_max = _int_in(e_tilde, "e_tilde", 1, e), _as_int(delta_max)
     if relation not in (None, RELATION_SAME, RELATION_MIXED):
         raise InputError(f"unknown relation {relation!r}")
     if relation == RELATION_MIXED and p != 2:

@@ -21,6 +21,8 @@ from .errors import (
     OutOfRangeError,
     VerificationError,
     _as_int,
+    _naturals,
+    _parse_ints,
 )
 
 # Most bits of p^delta and |G| the library computes, checked before the
@@ -38,6 +40,8 @@ def is_prime(n: int) -> bool:
 
     Larger n raise OutOfRangeError rather than risk a wrong answer.
     """
+    if type(n) is not int:  # is_prime runs on every group build, and an int needs no call
+        n = _as_int(n)
     if n <= _MR_BASES[-1]:
         return n in _MR_BASES
     if n >= _MR_LIMIT:
@@ -61,6 +65,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime(p, error=InputError) -> int:
+    """p as an int (`_as_int`) that is prime; error "p is not prime" otherwise."""
+    p = _as_int(p)
+    if not is_prime(p):
+        raise error(f"{p} is not prime")
+    return p
+
+
 @dataclass(frozen=True)
 class AbelianPGroup:
     """Direct sum of r_i copies of Z_{p^i}, of exponent exactly p^e."""
@@ -69,15 +81,9 @@ class AbelianPGroup:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _as_int(self.p))
-        r = tuple(map(_as_int, self.r))
+        object.__setattr__(self, "p", _prime(self.p, InvalidPrimeError))
+        r = _naturals(self.r, "invariant list", InvalidInvariantsError)
         object.__setattr__(self, "r", r)
-        if not is_prime(self.p):
-            raise InvalidPrimeError(f"{self.p} is not prime")
-        if not r:
-            raise InvalidInvariantsError("invariant list must be non-empty")
-        if min(r) < 0:
-            raise InvalidInvariantsError(f"multiplicities must be >= 0, got {r}")
         if r[-1] < 1:
             raise InvalidInvariantsError(
                 f"r_e = 0 in {r}: group would not have exponent p^{len(r)}"
@@ -166,12 +172,8 @@ def parse_group(text: str) -> AbelianPGroup:
     head, sep, tail = text.partition(":")
     if not sep:
         raise InputError(f"group encoding {text!r} lacks ':'")
-    try:
-        p = int(head)
-        r = tuple(int(tok) for tok in tail.split(","))
-    except ValueError as exc:
-        raise InputError(f"non-numeric token in group encoding {text!r}") from exc
-    return AbelianPGroup(p, r)
+    nums = _parse_ints((head, *tail.split(",")), "group encoding", text)
+    return AbelianPGroup(nums[0], nums[1:])
 
 
 def top_pair_index(counts: tuple[int, ...]) -> int:

@@ -27,7 +27,7 @@ from itertools import accumulate, compress
 from operator import mul, neg, sub
 from typing import Callable
 
-from .errors import InputError, OutOfRangeError, VerificationError, _as_int
+from .errors import InputError, OutOfRangeError, VerificationError, _as_int, _int_in, _naturals
 
 # Most values mainline_profile, spectrum.full_spectrum and spectrum.
 # oracle_reduced_spectrum may mark, and most bitset bytes of is_mainline.
@@ -58,15 +58,6 @@ INFINITY = _Infinity()
 IntSeq = tuple[int, ...]
 
 
-def _checked(entries) -> IntSeq:
-    seq = tuple(map(_as_int, entries))
-    if not seq:
-        raise InputError("sequence must be non-empty")
-    if any(x < 0 for x in seq):
-        raise InputError(f"sequence entries must be non-negative, got {seq}")
-    return seq
-
-
 def is_nonincreasing(entries) -> bool:
     seq = tuple(entries)
     return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
@@ -74,22 +65,16 @@ def is_nonincreasing(entries) -> bool:
 
 def wp_eval(p: int, entries) -> int:
     """Evaluate sum(a_i * p^(e-i)) for the length-e sequence a."""
-    if p < 1:
-        raise InputError(f"base must be >= 1, got {p}")
-    seq = _checked(entries)
+    p = _int_in(p, "base", 1)
     value = 0
-    for x in seq:
+    for x in _naturals(entries, "sequence"):
         value = value * p + x
     return value
 
 
 def hull(entries) -> IntSeq:
-    """Least non-increasing majorant: fold max from the right."""
-    seq = _checked(entries)
-    out = list(seq)
-    for i in range(len(out) - 2, -1, -1):
-        out[i] = max(out[i], out[i + 1])
-    return tuple(out)
+    """Least non-increasing majorant."""
+    return _majorant(_naturals(entries, "sequence"), 0)
 
 
 def envelope(p: int, entries) -> IntSeq:
@@ -97,20 +82,24 @@ def envelope(p: int, entries) -> IntSeq:
 
     Defined for non-increasing input only; for p = 1 it is the identity.
     """
-    if p < 1:
-        raise InputError(f"base must be >= 1, got {p}")
-    seq = _checked(entries)
+    p = _int_in(p, "base", 1)
+    seq = _naturals(entries, "sequence")
     if not is_nonincreasing(seq):
         raise InputError(f"envelope needs a non-increasing sequence, got {seq}")
+    return _majorant(seq, p - 1)
+
+
+def _majorant(seq: IntSeq, gap: int) -> IntSeq:
+    """Least majorant whose consecutive differences are all >= gap: fold max from the right."""
     out = list(seq)
     for i in range(len(out) - 2, -1, -1):
-        out[i] = max(out[i + 1] + (p - 1), out[i])
+        out[i] = max(out[i], out[i + 1] + gap)
     return tuple(out)
 
 
 def gap_norm(entries) -> "int | _Infinity":
     """Minimum consecutive difference; INFINITY for length-1 sequences."""
-    seq = _checked(entries)
+    seq = _naturals(entries, "sequence")
     if not is_nonincreasing(seq):
         raise InputError(f"gap norm needs a non-increasing sequence, got {seq}")
     if len(seq) == 1:
@@ -221,8 +210,7 @@ def is_mainline(p: int, entries, m: int) -> bool:
     to m, and above SIEVE_LIMIT = 10^6 bitset bytes it raises
     OutOfRangeError first.
     """
-    if p < 2:
-        raise InputError(f"mainline membership needs p >= 2, got {p}")
+    p, m = _int_in(p, "base", 2), _as_int(m)
     t = hull(entries)
     mu = wp_eval(p, t)
     if m < mu:
@@ -254,8 +242,7 @@ def mainline_profile(p: int, entries) -> MainlineProfile:
     to that bound; above SIEVE_LIMIT = 10^6 bits it raises OutOfRangeError
     before enumerating anything.
     """
-    if p < 2:
-        raise InputError(f"mainline profile needs p >= 2, got {p}")
+    p = _int_in(p, "base", 2)
     t = hull(entries)
     mu, upper = wp_eval(p, t), wp_eval(p, envelope(p, t))
     _sieve_length(mu, upper - 1, 1, lambda: f"the mainline profile of {t} at p = {p}")

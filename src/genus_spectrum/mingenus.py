@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import neg
 
-from .errors import OutOfRangeError, UnsupportedError, VerificationError
+from .errors import OutOfRangeError, UnsupportedError, VerificationError, _as_int, _int_in
 from .group import AbelianPGroup
 from .halfint import HalfInt, twice_text
 from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
@@ -43,9 +43,11 @@ def epsilon_i(G: AbelianPGroup, i: int) -> int:
     0 at the ends: i = 0 has no drop constraint, and at i = e the formula
     gives 0, as the drop s_e - 2*floor(1/2) = s_e >= 2 holds already.
     """
-    if not 0 <= i <= G.e:
-        raise OutOfRangeError(f"index {i} outside [0, {G.e}]")
-    s = G.s
+    return _epsilon(G.s, _int_in(i, "index", 0, G.e, OutOfRangeError))
+
+
+def _epsilon(s: tuple[int, ...], i: int) -> int:
+    # epsilon_i for an index already in range
     return max(0, 2 - s[i - 1] + s[i] - s[i] % 2) if i else 0
 
 
@@ -82,7 +84,7 @@ def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
     blocks = []
     prefix = 0  # wp(s_1, ..., s_i)
     for i in range(e + 1):
-        eps = epsilon_i(G, i)
+        eps = _epsilon(s, i)
         tail = s[i] - s[i] % 2  # T = 2 * floor(s_{i+1} / 2)
         if i:
             prefix = prefix * p + s[i - 1]
@@ -113,9 +115,7 @@ def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
 
 def min_gamma_A(G: AbelianPGroup, i: int) -> IndexMinimum:
     """The minimum over block A_i, read from `_blocks`."""
-    if not 0 <= i <= G.e:
-        raise OutOfRangeError(f"index {i} outside [0, {G.e}]")
-    return _blocks(G)[i]
+    return _blocks(G)[_int_in(i, "index", 0, G.e, OutOfRangeError)]
 
 
 class IndexSet(tuple):
@@ -135,7 +135,7 @@ class IndexSet(tuple):
 
 def index_set(G: AbelianPGroup) -> IndexSet:
     """Indices whose block can realise the minimum (those with eps_i = 0)."""
-    return _index_set(G, (epsilon_i(G, i) for i in range(G.e + 1)))
+    return _index_set(G, (_epsilon(G.s, i) for i in range(G.e + 1)))
 
 
 def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
@@ -145,6 +145,7 @@ def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
+    i = _as_int(i)
     x = [*G.r[:i], *(0,) * (G.e - i)]
     if i:
         x[i - 1] += G.s[i] % 2
@@ -199,8 +200,7 @@ def maclachlan_nu(G: AbelianPGroup, h: int) -> HalfInt:
     if G.is_cyclic:
         raise UnsupportedError("the orbit-genus formula excludes cyclic groups")
     rank = G.rank
-    if not 0 <= h <= rank // 2:
-        raise OutOfRangeError(f"orbit genus {h} outside [0, {rank // 2}]")
+    h = _int_in(h, "orbit genus", 0, rank // 2, OutOfRangeError)
     q = rank - 2 * h
     weights = period_weights(G.p, G.e)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import lt
 
-from .errors import InputError, VerificationError, _as_int
+from .errors import InputError, VerificationError, _as_int, _int_in, _naturals, _parse_ints
 from .group import AbelianPGroup, e_prime, top_pair_index
 from .halfint import HalfInt, twice_text
 from .mainline import is_nonincreasing, wp_eval
@@ -42,14 +42,8 @@ class PDatum:
     h: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(map(_as_int, self.x)))
-        object.__setattr__(self, "h", _as_int(self.h))
-        if not self.x:
-            raise InputError("datum needs at least one period slot")
-        if any(v < 0 for v in self.x):
-            raise InputError(f"period multiplicities must be >= 0, got {self.x}")
-        if self.h < 0:
-            raise InputError(f"orbit genus must be >= 0, got {self.h}")
+        object.__setattr__(self, "x", _naturals(self.x, "period list"))
+        object.__setattr__(self, "h", _int_in(self.h, "orbit genus", 0))
 
     @property
     def f(self) -> int:
@@ -76,12 +70,8 @@ def parse_datum(text: str) -> PDatum:
     body, sep, tail = text.partition(";")
     if not sep:
         raise InputError(f"datum encoding {text!r} lacks ';'")
-    try:
-        x = tuple(int(tok) for tok in body.split(","))
-        h = int(tail)
-    except ValueError as exc:
-        raise InputError(f"non-numeric token in datum encoding {text!r}") from exc
-    return PDatum(x, h)
+    nums = _parse_ints((*body.split(","), tail), "datum encoding", text)
+    return PDatum(nums[:-1], nums[-1])
 
 
 def _check_length(G: AbelianPGroup, d: PDatum) -> None:
@@ -139,13 +129,11 @@ def alpha(d: PDatum) -> GammaSeq:
 
 def _gamma_seq(a, length: int | None = None) -> GammaSeq:
     """a checked as a gamma sequence, of the given length if any; InputError if it is none."""
-    seq = tuple(map(_as_int, a))
+    seq = _naturals(a, "gamma sequence")
     if length is not None and len(seq) != length:
         raise InputError(f"gamma sequence must have length {length}, got {len(seq)}")
     if len(seq) < 2:
         raise InputError("gamma sequence needs length e+1 >= 2")
-    if any(v < 0 for v in seq):
-        raise InputError(f"gamma sequence entries must be >= 0, got {seq}")
     if not is_nonincreasing(seq):
         raise InputError(f"gamma sequence must be non-increasing, got {seq}")
     if seq[-1] % 2 != 0:
@@ -162,6 +150,7 @@ def alpha_inv(a) -> PDatum:
 
 def gamma(p: int, e: int, a) -> HalfInt:
     """-p^e + a_{e+1}/2 + ((p-1)/2) wp(a_1..a_e); equals reduced_genus o alpha_inv."""
+    p, e = _as_int(p), _as_int(e)
     seq = _gamma_seq(a, e + 1)
     return HalfInt(-2 * p**e + seq[-1] + (p - 1) * wp_eval(p, seq[:-1]))
 

@@ -34,7 +34,14 @@ from functools import cached_property
 from itertools import compress
 from operator import mul
 
-from .errors import InputError, OutOfRangeError, UnsupportedError, VerificationError
+from .errors import (
+    InputError,
+    OutOfRangeError,
+    UnsupportedError,
+    VerificationError,
+    _as_int,
+    _int_in,
+)
 from .group import AbelianPGroup, e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
@@ -226,21 +233,19 @@ def oracle_reduced_spectrum(G: AbelianPGroup, bound: HalfInt | int) -> tuple[Hal
 def scan_bound(G: AbelianPGroup) -> HalfInt:
     """Completeness bound B(G) for the general spectrum scan.
 
-    Two estimates are combined: (p-1)/2 times the enveloping evaluation of
-    the s-sequence, and a tail bound obtained by first raising the last
-    entry to p-1 so that every residue class of the lattice is reached
-    inside the top block.  The scan independently re-verifies the window
-    below the returned bound, so B only has to be generous, not sharp.
+    (p-1)/2 times one more than the enveloping evaluation of the hull of the
+    s-sequence whose last entry is first raised to p-1, so that every
+    residue class of the lattice is reached inside the top block.  Without
+    that raise and the + 1 the estimate is never larger, since hull,
+    envelope and wp are monotone.  The scan independently re-verifies the
+    window below the returned bound, so B only has to be generous, not sharp.
     """
     p, e = G.p, G.e
     s = list(G.s[:e])
     if p == 2 and e_prime(G) < e and s[-1] % 2 == 1:
         s[-1] += 1
-    spec_twice = (p - 1) * wp_eval(p, envelope(p, hull(s)))
-
     raised = hull(s[:-1] + [max(s[-1], p - 1)])
-    tail_twice = (p - 1) * (wp_eval(p, envelope(p, raised)) + 1)
-    return HalfInt(max(spec_twice, tail_twice))
+    return HalfInt((p - 1) * (wp_eval(p, envelope(p, raised)) + 1))
 
 
 def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
@@ -279,6 +284,7 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
 
 def spectrum_bound_formula(p: int, e: int) -> int:
     """Least m accepted by group_for_spectrum."""
+    p, e = _as_int(p), _as_int(e)
     if p == 2:
         return (e - 1) * 2 ** (e + 1) + 2
     return (2 * e - 1) * p**e - 2 * (p**e - 1) // (p - 1) + 1
@@ -292,10 +298,9 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
     exactly to the least admissible m; the excess is absorbed digit-wise in
     a partial p-adic expansion whose carries keep all invariants large.
     """
-    if p < 2:
-        raise InputError(f"p must be prime, got {p}")
-    if e < 1:
-        raise OutOfRangeError(f"exponent index must be >= 1, got {e}")
+    p = _int_in(p, "p", 2)
+    e = _int_in(e, "exponent index", 1, error=OutOfRangeError)
+    m = _as_int(m)
     a = [max(p - 1, 2) + 2 * (p - 1) * (e - j) for j in range(1, e + 1)]
     base = wp_eval(p, a)
     if base != spectrum_bound_formula(p, e):
