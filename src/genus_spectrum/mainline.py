@@ -107,14 +107,13 @@ def gap_norm(entries) -> "int | _Infinity":
     return min(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
 
 
-def _closure(bits: int, stride: int, width: int, count: int | None = None) -> int:
-    """The union of bits << j * stride, 0 <= j < count (or all j), cut to width bits."""
-    mask, span = (1 << width) - 1, 1
-    count = min(width // stride + 1, count or width + 1)
-    while 2 * span <= count:
-        bits |= bits << span * stride & mask
+def _closure(bits: int, stride: int, width: int) -> int:
+    """The union of bits << j * stride, j >= 0, cut to width bits."""
+    mask, span = (1 << width) - 1, stride
+    while span < width:
+        bits |= bits << span & mask
         span *= 2
-    return bits | bits << (count - span) * stride & mask
+    return bits
 
 
 def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
@@ -125,14 +124,14 @@ def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
     - ... - y_f) up by 1.  At f = 0 the coefficient is 1 with no loop below.
     The coefficients increase and the floors do not.
 
-    From the top level down, each level keeps one bitset per loop head
-    (tail sum capped at cap = floors[0], step).  A bit counts from the least
-    value its branch can end at, the floors below met by the cheapest, lowest
-    coordinates: a child loop inherits it, and a branch past the bound drops
-    out.  Loop steps below the next floor share its key at a fixed distance:
-    one bounded closure.  Up to cap each step is a shift into its own key.
-    From cap on every floor is met, so capping is exact and the rest is one
-    closure, as are level 1 and f = 0.  A start below lo raises VerificationError.
+    A bit counts from the least value its branch can end at (`least` meets
+    the floors below by the cheapest coordinates); a child loop inherits it,
+    and a branch past the bound drops out.  Each level holds its loop heads
+    as bitsets by step and tail sum, capped at cap = floors[0].  From the top
+    level down, one ascending sweep per (step, tail residue) ORs a carry into
+    the child head at max(tail, next floor) and moves it one step on.  What
+    reaches cap is one closure, as are level 1 and f = 0.  A start below lo
+    raises VerificationError.
     """
     cap, width = floors[0], bound - lo + 1
     mask = (1 << width) - 1
@@ -143,33 +142,31 @@ def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
         m = 0 if tail >= cap else min(bisect_left(floors, -tail, key=neg), i - 1)
         return coeffs[m - 1] * (floors[m - 1] - tail) + pre[m - 1] if m > 0 else 0
 
-    heads = [defaultdict(int) for _ in range(len(coeffs) + 1)]  # {(tail, step): bits} per level
-    for f, v, cover, x, step in starts:
+    heads = [defaultdict(lambda: defaultdict(int)) for _ in range(len(coeffs) + 1)]
+    for f, v, cover, x, step in starts:  # heads[level][step, tail % step][tail] is a bitset
         tail = min(cover + x, cap)
         k = v + (coeffs[f - 1] if f else 1) * x + least(tail, f) - lo
         if k < 0:
             raise VerificationError(f"a start at level {f} reaches {lo + k}, below {lo}")
         if k < width:
-            heads[f][tail, step] |= 1 << k
+            heads[f][step, tail % step][tail] |= 1 << k
     for i in range(len(coeffs), 1, -1):
-        c, floor, below = coeffs[i - 1], floors[i - 2], heads[i - 1]
-        for (tail, step), bits in heads.pop().items():
-            low, base = (bits & -bits).bit_length() - 1, least(tail, i) + c * tail
-            if tail < floor:
-                n = -((tail - floor) // step)
-                below[floor, 1] |= _closure(bits, (c - coeffs[i - 2]) * step, width, n)
-                tail += n * step
-            shift = c * tail + least(tail, i) - base
-            while tail < cap and low + shift < width:
-                below[tail, 1] |= bits << shift & mask
-                tail += step
-                shift = c * tail + least(tail, i) - base
-            if low + shift < width:
-                below[cap, 1] |= _closure(bits << shift & mask, c * step, width)
+        c, floor, below = coeffs[i - 1], floors[i - 2], heads[i - 1][1, 0]
+        for (step, _), chain in heads.pop().items():  # one chain per step and tail residue
+            bits, tails = 0, sorted(chain)  # bits: the carry, at tail t
+            for t, nxt in zip(tails, tails[1:] + [cap]):
+                bits |= chain[t]
+                while t < nxt and bits:  # an empty carry jumps to the next head
+                    below[max(t, floor)] |= bits
+                    bits = bits << c * step + least(t + step, i) - least(t, i) & mask
+                    t += step
+            if bits:  # at tail >= cap every floor is met
+                below[cap] |= _closure(bits, c * step, width)
     out = 0
     for c, level in zip((1, coeffs[0]), heads):  # at level 1 every tail is cap
-        for (_, step), bits in level.items():
-            out |= _closure(bits, c * step, width)
+        for (step, _), chain in level.items():
+            for bits in chain.values():
+                out |= _closure(bits, c * step, width)
     return out
 
 

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import neg
 
-from .errors import OutOfRangeError, UnsupportedError, VerificationError, _as_int, _int_in
+from .errors import OutOfRangeError, UnsupportedError, VerificationError, _int_in
 from .group import AbelianPGroup
 from .halfint import HalfInt, twice_text
 from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
@@ -145,7 +145,7 @@ def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
-    i = _as_int(i)
+    i = _int_in(i, "index", 0, G.e, OutOfRangeError)
     x = [*G.r[:i], *(0,) * (G.e - i)]
     if i:
         x[i - 1] += G.s[i] % 2

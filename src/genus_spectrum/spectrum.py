@@ -36,13 +36,14 @@ from operator import mul
 
 from .errors import (
     InputError,
+    InvalidPrimeError,
     OutOfRangeError,
     UnsupportedError,
     VerificationError,
     _as_int,
     _int_in,
 )
-from .group import AbelianPGroup, e_prime, kulkarni_n
+from .group import AbelianPGroup, _prime, e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
 from .mingenus import mu0
@@ -283,8 +284,9 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
 
 
 def spectrum_bound_formula(p: int, e: int) -> int:
-    """Least m accepted by group_for_spectrum."""
-    p, e = _as_int(p), _as_int(e)
+    """Least m accepted by group_for_spectrum, for a prime p and e >= 1."""
+    p = _prime(p, InvalidPrimeError)
+    e = _int_in(e, "exponent index", 1, error=OutOfRangeError)
     if p == 2:
         return (e - 1) * 2 ** (e + 1) + 2
     return (2 * e - 1) * p**e - 2 * (p**e - 1) // (p - 1) + 1

@@ -281,3 +281,14 @@ def test_profile_of_a_huge_hull_stays_small():
     )
     assert proc.returncode == 0, proc.stderr[-300:]
     assert proc.stdout == "MainlineProfile(mu=20000000, sigma=20000000, gaps=())\n"
+
+
+def test_profile_far_below_its_first_floor_skips_the_empty_tails():
+    # hull (10^15, 0, 0) at p = 3: the one loop head sits 10^15 tail sums
+    # below the cap and its carry empties after a few steps; a sweep that
+    # walked on to the cap would not finish
+    code = "from genus_spectrum import mainline_profile; print(mainline_profile(3, (10**15, 0, 0)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    mu = 9 * 10**15
+    assert proc.stdout == f"MainlineProfile(mu={mu}, sigma={mu + 6}, gaps={(mu + 1, mu + 2, mu + 5)})\n"

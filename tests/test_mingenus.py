@@ -11,6 +11,7 @@ from genus_spectrum import (
     OutOfRangeError,
     UnsupportedError,
     VerificationError,
+    attaining_datum,
     classify_gamma_seq,
     epsilon_i,
     gamma,
@@ -44,6 +45,15 @@ def test_epsilon_examples():
     assert epsilon_i(AbelianPGroup(2, (1, 2)), 1) == 0  # s = (4,3,1): drop 1, odd
     with pytest.raises(OutOfRangeError):
         epsilon_i(AbelianPGroup(2, (1, 1)), 3)
+
+
+def test_attaining_datum_refuses_an_index_outside_0_to_e():
+    # the block indices are 0, ..., e, as for epsilon_i
+    G = AbelianPGroup(2, (1, 1, 1))
+    assert attaining_datum(G, 0).x == (0, 0, 0) and attaining_datum(G, 3).x == (1, 1, 2)
+    for i in (-1, G.e + 1):
+        with pytest.raises(OutOfRangeError, match=rf"index {i} outside \[0, 3\]"):
+            attaining_datum(G, i)
 
 
 def test_epsilon_is_the_least_bump_that_works():

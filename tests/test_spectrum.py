@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from genus_spectrum import (
     AbelianPGroup,
     HalfInt,
     InputError,
+    InvalidPrimeError,
     OutOfRangeError,
     SmallClass,
     SpectrumDescriptor,
@@ -35,6 +37,7 @@ from helpers import (
     all_groups,
     block_route_values,
     marks_by_sets,
+    progressions_by_walk,
 )
 
 
@@ -110,6 +113,9 @@ def test_oracle_far_beyond_the_scan_bound():
     G = parse_group("13:0,0,1")
     d = full_spectrum(G)
     assert oracle_reduced_spectrum(G, d.verified_bound) == d.reduced_values_up_to(d.verified_bound)
+    # s_1 = 3 002: one engine level holds about 1 500 loop heads, 273 000 values
+    G = parse_group("3:3000,0,1")
+    assert oracle_reduced_spectrum(G, 300000) == full_spectrum(G).reduced_values_up_to(300000)
 
 
 # 0, 1, 3, 4 and on: epsilon = 1, minimum 0, stable 3, gap 2
@@ -281,6 +287,40 @@ def test_engine_matches_the_walk_on_pool_groups():
             ), (enc, bound)
 
 
+WIDE_GROUPS = ("3:200,0,1", "5:30,0,2", "7:100,0,0,1", "2:60,1,0,1", "2:500,0,1,1")
+
+
+def test_engine_matches_the_walk_with_many_heads_per_level():
+    # a wide first multiplicity puts many loop heads on one level, so the
+    # sweep's carries pass many heads; 2:500,0,1,1 has a single top summand,
+    # so its top loops step by 2
+    for enc in WIDE_GROUPS:
+        G = parse_group(enc)
+        twice = scan_bound(G).twice
+        for bound in (2 * twice, 3 * twice):
+            assert spectrum_module._admissible_twice(G, bound) == admissible_marks_by_walk(
+                G, bound
+            ), (enc, bound)
+
+
+def test_engine_matches_the_walk_on_random_starts():
+    # loops of steps 1 to 3 open at tails of every residue, below, between
+    # and at the floors (the scan's step-2 heads sit at even tails only)
+    rng = random.Random(21)
+    for _ in range(500):
+        n = rng.randrange(2, 5)
+        coeffs = sorted(rng.sample(range(3, 30), n))
+        floors = sorted((rng.randrange(12) for _ in range(n)), reverse=True)
+        bound = rng.randrange(50, 300)
+        starts = [
+            (rng.randrange(2, n + 1), rng.randrange(6), rng.randrange(8), rng.randrange(4), step)
+            for step in rng.choices((1, 2, 3), k=rng.randrange(1, 5))
+        ]
+        want = marks_by_sets(progressions_by_walk(coeffs, floors, bound, starts), 0, 1, bound + 1)
+        bits = mainline_module._reach(coeffs, floors, 0, bound, starts)
+        assert mainline_module._marks(bits, 0, bound, 1) == want, (coeffs, floors, bound, starts)
+
+
 def test_sieve_refuses_a_progression_off_the_lattice():
     # the reached values of a start off the lattice -2 + 2N_0, or of a stride
     # off it, are caught on the whole bitset
@@ -388,6 +428,19 @@ def test_group_for_spectrum_examples():
         group_for_spectrum(2, 3, 33)
     with pytest.raises(OutOfRangeError):
         group_for_spectrum(3, 2, 19)
+
+
+def test_spectrum_bound_formula_refuses_a_bad_prime_or_exponent():
+    assert spectrum_bound_formula(2, 3) == 34 and spectrum_bound_formula(3, 2) == 20
+    # the formula divides by p - 1 and is stated for a prime p and e >= 1
+    for p in (1, 4):
+        with pytest.raises(InvalidPrimeError, match=f"{p} is not prime"):
+            spectrum_bound_formula(p, 3)
+    for e in (-1, 0):
+        with pytest.raises(OutOfRangeError, match=f"exponent index must be >= 1, got {e}"):
+            spectrum_bound_formula(2, e)
+    with pytest.raises(InvalidPrimeError):
+        group_for_spectrum(4, 3, 300)
 
 
 def test_group_for_spectrum_round_trip():
