@@ -107,13 +107,14 @@ def gap_norm(entries) -> "int | _Infinity":
     return min(seq[i] - seq[i + 1] for i in range(len(seq) - 1))
 
 
-def _closure(bits: int, stride: int, width: int) -> int:
-    """The union of bits << j * stride, j >= 0, cut to width bits."""
-    mask, span = (1 << width) - 1, stride
-    while span < width:
-        bits |= bits << span & mask
+def _closure(bits: int, stride: int, width: int, count: int | None = None) -> int:
+    """The union of bits << j * stride, 0 <= j < count (or all j), cut to width bits."""
+    mask, span = (1 << width) - 1, 1
+    count = min(width // stride + 1, count or width + 1)
+    while 2 * span <= count:
+        bits |= bits << span * stride & mask
         span *= 2
-    return bits
+    return bits | bits << (count - span) * stride & mask
 
 
 def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
@@ -126,12 +127,13 @@ def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
 
     A bit counts from the least value its branch can end at (`least` meets
     the floors below by the cheapest coordinates); a child loop inherits it,
-    and a branch past the bound drops out.  Each level holds its loop heads
-    as bitsets by step and tail sum, capped at cap = floors[0].  From the top
-    level down, one ascending sweep per (step, tail residue) ORs a carry into
-    the child head at max(tail, next floor) and moves it one step on.  What
-    reaches cap is one closure, as are level 1 and f = 0.  A start below lo
-    raises VerificationError.
+    and a branch past the bound drops out.  Each level keeps its loop heads
+    by step, tail residue and tail sum (capped at cap = floors[0]).  From the
+    top level down it sweeps each chain of a step and residue up once: a carry
+    is ORed into the child head at max(tail, next floor) and moves on, below
+    that floor in one bounded closure up to it or the next head; an empty
+    carry jumps to the next head.  What reaches cap is one closure, as are
+    level 1 and f = 0.  A start below lo raises VerificationError.
     """
     cap, width = floors[0], bound - lo + 1
     mask = (1 << width) - 1
@@ -142,31 +144,36 @@ def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
         m = 0 if tail >= cap else min(bisect_left(floors, -tail, key=neg), i - 1)
         return coeffs[m - 1] * (floors[m - 1] - tail) + pre[m - 1] if m > 0 else 0
 
-    heads = [defaultdict(lambda: defaultdict(int)) for _ in range(len(coeffs) + 1)]
-    for f, v, cover, x, step in starts:  # heads[level][step, tail % step][tail] is a bitset
+    heads = [defaultdict(int) for _ in range(len(coeffs) + 1)]  # {(step, tail % step, tail): bits}
+    for f, v, cover, x, step in starts:
         tail = min(cover + x, cap)
         k = v + (coeffs[f - 1] if f else 1) * x + least(tail, f) - lo
         if k < 0:
             raise VerificationError(f"a start at level {f} reaches {lo + k}, below {lo}")
         if k < width:
-            heads[f][step, tail % step][tail] |= 1 << k
+            heads[f][step, tail % step, tail] |= 1 << k
     for i in range(len(coeffs), 1, -1):
-        c, floor, below = coeffs[i - 1], floors[i - 2], heads[i - 1][1, 0]
-        for (step, _), chain in heads.pop().items():  # one chain per step and tail residue
-            bits, tails = 0, sorted(chain)  # bits: the carry, at tail t
-            for t, nxt in zip(tails, tails[1:] + [cap]):
-                bits |= chain[t]
-                while t < nxt and bits:  # an empty carry jumps to the next head
-                    below[max(t, floor)] |= bits
-                    bits = bits << c * step + least(t + step, i) - least(t, i) & mask
-                    t += step
-            if bits:  # at tail >= cap every floor is met
-                below[cap] |= _closure(bits, c * step, width)
+        c, floor, below, level = coeffs[i - 1], floors[i - 2], heads[i - 1], heads.pop()
+        d, bits = c - coeffs[i - 2], 0  # bits: the carry, at tail t, based at value `at`
+        keys = sorted(level) if len(level) > 1 else list(level)  # chains, tails ascending
+        for j, (step, r, t) in enumerate(keys, 1):  # nxt: the chain's next head, or cap
+            nxt = keys[j][2] if j < len(keys) and keys[j][0] == step and keys[j][1] == r else cap
+            if not bits and t < cap:
+                at = c * t + least(t, i)
+            bits |= level[step, r, t]
+            while t < nxt and bits:  # an empty carry jumps to the next head
+                n = 1 if t >= floor else -((t - min(nxt, floor)) // step)  # n steps, one key
+                below[1, 0, max(t, floor)] |= bits if n == 1 else _closure(bits, d * step, width, n)
+                t += n * step
+                now = c * t + least(t, i)
+                bits, at = bits << now - at & mask if now - at < width else 0, now
+            if bits and t >= cap:  # at tail >= cap every floor is met
+                below[1, 0, cap] |= _closure(bits, c * step, width)
+                bits = 0
     out = 0
     for c, level in zip((1, coeffs[0]), heads):  # at level 1 every tail is cap
-        for (step, _), chain in level.items():
-            for bits in chain.values():
-                out |= _closure(bits, c * step, width)
+        for (step, _, _), bits in level.items():
+            out |= _closure(bits, c * step, width)
     return out
 
 

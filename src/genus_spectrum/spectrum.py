@@ -285,8 +285,7 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
 
 def spectrum_bound_formula(p: int, e: int) -> int:
     """Least m accepted by group_for_spectrum, for a prime p and e >= 1."""
-    p = _prime(p, InvalidPrimeError)
-    e = _int_in(e, "exponent index", 1, error=OutOfRangeError)
+    p, e = _prime(p, InvalidPrimeError), _int_in(e, "exponent index", 1, error=OutOfRangeError)
     if p == 2:
         return (e - 1) * 2 ** (e + 1) + 2
     return (2 * e - 1) * p**e - 2 * (p**e - 1) // (p - 1) + 1

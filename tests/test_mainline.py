@@ -287,8 +287,24 @@ def test_profile_far_below_its_first_floor_skips_the_empty_tails():
     # hull (10^15, 0, 0) at p = 3: the one loop head sits 10^15 tail sums
     # below the cap and its carry empties after a few steps; a sweep that
     # walked on to the cap would not finish
-    code = "from genus_spectrum import mainline_profile; print(mainline_profile(3, (10**15, 0, 0)))"
+    code = "from genus_spectrum import mainline_profile as f; print(f(3, (10**15, 0, 0)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-300:]
     mu = 9 * 10**15
     assert proc.stdout == f"MainlineProfile(mu={mu}, sigma={mu + 6}, gaps={(mu + 1, mu + 2, mu + 5)})\n"
+
+
+def test_deep_drops_in_wide_windows_are_one_closure():
+    # the top loop head sits 10^6 tail sums below its next floor, in a window
+    # of 990 000 bits (the profile), or 10^7 below it in a window of 8·10^6
+    # bits (the query).  Those steps share the floor's key and are one bounded
+    # closure; taken one at a time, each ORs a bitset of up to the window
+    code = (
+        "from genus_spectrum import is_mainline, mainline_profile, wp_eval\n"
+        "print(mainline_profile(100, (10**6, 10**6, 0)))\n"
+        "t = (10**7,) * 18 + (0,)\n"
+        "print(is_mainline(2, t, wp_eval(2, t) + 8 * 10**6 - 1))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout == "MainlineProfile(mu=10100000000, sigma=10100000000, gaps=())\nTrue\n"

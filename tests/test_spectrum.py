@@ -321,6 +321,21 @@ def test_engine_matches_the_walk_on_random_starts():
         assert mainline_module._marks(bits, 0, bound, 1) == want, (coeffs, floors, bound, starts)
 
 
+def test_engine_matches_the_walk_below_a_deep_floor():
+    # top loop heads thousands of tail sums below the next floor, in windows
+    # of 10^4 values and more: the carry crosses the stretch to the floor, or
+    # to the chain's next head on the way (tail 2 500 or 600, step 1), in one
+    # bounded closure
+    cases = [
+        ([2, 3, 7], [3000, 3000, 0], 30000, [(3, 0, 0, 0, 1), (3, 5, 0, 7, 2), (3, 1, 0, 2500, 1)]),
+        ([5, 6, 8], [2000, 2000, 0], 15000, [(3, 0, 0, 0, 1), (3, 2, 0, 600, 1), (2, 0, 0, 100, 1)]),
+    ]
+    for coeffs, floors, bound, starts in cases:
+        want = marks_by_sets(progressions_by_walk(coeffs, floors, bound, starts), 0, 1, bound + 1)
+        bits = mainline_module._reach(coeffs, floors, 0, bound, starts)
+        assert mainline_module._marks(bits, 0, bound, 1) == want, (coeffs, floors, bound)
+
+
 def test_sieve_refuses_a_progression_off_the_lattice():
     # the reached values of a start off the lattice -2 + 2N_0, or of a stride
     # off it, are caught on the whole bitset
