@@ -5,6 +5,8 @@ searches for non-isomorphic groups sharing a spectrum - all in unbounded
 exact integer arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .conjecture import (
     RELATION_MIXED,
     RELATION_SAME,
@@ -87,70 +89,9 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianPGroup",
-    "CounterexamplePair",
-    "GenusSpectrumError",
-    "GenusView",
-    "GroupInvariants",
-    "HalfInt",
-    "INFINITY",
-    "IndexMinimum",
-    "IndexSet",
-    "InputError",
-    "InvalidInvariantsError",
-    "InvalidPrimeError",
-    "MainlineProfile",
-    "MinGenusReport",
-    "OutOfFamilyError",
-    "OutOfRangeError",
-    "PDatum",
-    "RELATION_MIXED",
-    "RELATION_SAME",
-    "SmallClass",
-    "SpectrumDescriptor",
-    "UnsupportedError",
-    "VerificationError",
-    "alpha",
-    "alpha_inv",
-    "attaining_datum",
-    "classify_gamma_seq",
-    "classify_small",
-    "closed_form_spectrum",
-    "e3_family",
-    "e_prime",
-    "envelope",
-    "epsilon_i",
-    "full_spectrum",
-    "gamma",
-    "gap_norm",
-    "genus",
-    "genus_progression",
-    "genus_view",
-    "group_for_spectrum",
-    "has_large_invariants",
-    "hull",
-    "index_set",
-    "invariants",
-    "is_admissible",
-    "is_mainline",
-    "is_prime",
-    "maclachlan_nu",
-    "mainline_profile",
-    "min_gamma_A",
-    "mu0",
-    "mu0_plus",
-    "new_group",
-    "oracle_reduced_spectrum",
-    "parse_datum",
-    "parse_group",
-    "reduced_genus",
-    "reduced_min_large",
-    "rho",
-    "scan_bound",
-    "search_counterexamples",
-    "spectra_equal",
-    "spectrum_bound_formula",
-    "varying_exponent_pair",
-    "wp_eval",
-]
+# The imports above are the public API: export every name they bind except
+# the submodules, which binding a relative import also sets.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -615,6 +615,7 @@ def search_counterexamples(
         if off is not None:
             listed = _overlap_classes(side1, side2, offset, delta_max, off)
             plan.append((side1, side2, offset, off, *listed, label))
+    # not len(r): past sys.maxsize it raises OverflowError, and delta_max is unbounded
     count = sum((r[-1] - r[0]) // r.step + 1 for row in plan for r in row[4] if r)
     width = sum(row[5] for row in plan)
     if width > SEARCH_WIDTH_LIMIT:

@@ -17,7 +17,9 @@ lattice's least value -1 (doubled: -2 // epsilon) up to B; a set bit off the
 lattice raises.  The minimum is the first lattice mark and the gaps are the
 unmarked values after it, kept as doubled ints until gaps_reduced is read.
 Above SIEVE_LIMIT = 10^6 lattice values a scan raises OutOfRangeError before
-enumerating; the tests and the benchmark scan at most 38 456 (13:0,0,1).
+enumerating.  The longest runs in the tests and the benchmark mark 38 456
+values (the scan of 13:0,0,1), 300 002 (the oracle of 3:3000,0,1 up to
+300 000) and 323 633 (7:100,0,0,1 at three times its scan bound).
 
 The scan is self-certifying: adding 2 to every coordinate of an
 admissibility block element stays in the block and raises the reduced
@@ -241,11 +243,8 @@ def scan_bound(G: AbelianPGroup) -> HalfInt:
     envelope and wp are monotone.  The scan independently re-verifies the
     window below the returned bound, so B only has to be generous, not sharp.
     """
-    p, e = G.p, G.e
-    s = list(G.s[:e])
-    if p == 2 and e_prime(G) < e and s[-1] % 2 == 1:
-        s[-1] += 1
-    raised = hull(s[:-1] + [max(s[-1], p - 1)])
+    p, s = G.p, G.s[: G.e]
+    raised = hull([*s[:-1], max(s[-1], p - 1)])
     return HalfInt((p - 1) * (wp_eval(p, envelope(p, raised)) + 1))
 
 

@@ -77,6 +77,8 @@ def test_e3_family_examples():
         e3_family(G, -1)  # r_2 would become 16, but r_1 drops below p-1
     with pytest.raises(OutOfFamilyError):
         e3_family(parse_group("2:1,6,1"), 1)  # top-summand class flips
+    with pytest.raises(OutOfFamilyError, match="hypothesis"):
+        e3_family(parse_group("3:1,1,1"), 1)  # the source is outside the family
     with pytest.raises(UnsupportedError):
         e3_family(parse_group("3:2,2"), 1)
 
@@ -110,6 +112,8 @@ def test_progression_examples():
     # delta = 16 and epsilon = 2: start 1 + 2^16 * 45/2, step 2^15
     start, step = genus_progression(parse_group("2:1,6,2"))
     assert (start, step) == (1 + 2**15 * 45, 2**15)
+    with pytest.raises(UnsupportedError, match="hypothesis"):
+        genus_progression(parse_group("3:0,1"))
 
 
 def brute_pairs(p, e, et, delta_max):
@@ -615,6 +619,9 @@ def test_search_refuses_oversized_windows_before_any_memo(monkeypatch):
         search_counterexamples(11, 13, 12, 19629)
     with pytest.raises(OutOfRangeError, match="up to 1000000000000 "):
         search_counterexamples(3, 5, 4, 10**12)
+    # the count stays exact past sys.maxsize, where len() of a range overflows
+    with pytest.raises(OutOfRangeError, match=f"^{10**26 - 186} deficiencies up to {10**26} "):
+        search_counterexamples(3, 5, 4, 10**26)
 
 
 def test_classes_that_cannot_pair_are_skipped(monkeypatch):

@@ -81,6 +81,8 @@ def test_alpha_examples():
         alpha_inv((2, 3, 0))
     with pytest.raises(InputError):
         alpha_inv((3, 2, 1))
+    with pytest.raises(InputError, match=r"needs length e\+1 >= 2"):
+        alpha_inv((0,))
 
 
 def test_gamma_examples():
@@ -92,6 +94,8 @@ def test_gamma_examples():
         assert gamma(3, 2, (2 * a,) * 3) == HalfInt.of((a - 1) * 9)
     with pytest.raises(InputError):
         gamma(2, 3, (3, 2, 0))
+    with pytest.raises(InputError, match=r"needs length e\+1 >= 2"):
+        gamma(2, 0, (0,))
     # gamma = reduced_genus o alpha_inv has alpha_inv's domain
     for seq in ((3, 2, -2), (2, 3, 0), (3, 2, 1)):
         with pytest.raises(InputError):

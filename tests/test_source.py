@@ -1,9 +1,26 @@
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import genus_spectrum
 
 PACKAGE = Path(genus_spectrum.__file__).resolve().parent
+
+
+def test_public_names_are_the_package_imports():
+    # __all__ is read off the imports of __init__, so no second list is kept
+    # in step: the exported names are sorted, public, no submodule, each one
+    # held by a submodule too, and exactly what a star import binds
+    names = genus_spectrum.__all__
+    assert names == sorted(names)
+    values = {n: getattr(genus_spectrum, n) for n in names}
+    assert [n for n, v in values.items() if n.startswith("_") or isinstance(v, ModuleType)] == []
+    modules = [m for m in vars(genus_spectrum).values() if isinstance(m, ModuleType)]
+    held = {id(v) for m in modules for v in vars(m).values()}
+    assert [n for n, v in values.items() if id(v) not in held] == []
+    star: dict = {}
+    exec("from genus_spectrum import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
 
 
 def test_no_assert_statements():
