@@ -19,12 +19,6 @@ from .errors import GenusSpectrumError, _parse_ints
 from .halfint import HalfInt, twice_text
 
 
-def _factored_genus(G: group.AbelianPGroup, value: HalfInt) -> str:
-    if G.delta == 0 or value == 0:
-        return str(signature.genus_of(G.p_delta, value))
-    return f"1+{G.p}^{G.delta}*{value}"
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> int:
     if args.format == "json":
         print(json.dumps(payload))
@@ -68,7 +62,8 @@ def _cmd_invariants(args) -> int:
 def _cmd_mu0(args) -> int:
     G = group.parse_group(args.group)
     report = mingenus.mu0(G)
-    genus, factored = str(report.minimum_genus), _factored_genus(G, report.mu0)
+    genus = str(report.minimum_genus)
+    factored = genus if G.delta == 0 or report.mu0 == 0 else f"1+{G.p}^{G.delta}*{report.mu0}"
     payload = {
         "group": G.encode(),
         "mu0": str(report.mu0),

@@ -28,11 +28,12 @@ produce equal-spectrum pairs:
   fail the exact envelope test anyway.  This keeps the search exhaustive
   for deficiencies in the thousands, far beyond direct enumeration.
 
-For p = 2 the convention of the varying-exponent search is that the group of
-exponent p^e (the first one) has r_e >= 2, i.e. carries the half-integral
-reduced lattice.  The partner either also has a repeated top summand
-(same-lattice relation: equal deficiency and equal mu_0) or has a single one
-(mixed relation: deficiency smaller by one and doubled mu_0).
+For p = 2 the varying-exponent search runs three classes, by whether each
+group repeats its top summand (r_e >= 2, the half-integral reduced lattice)
+or not (r_e = 1).  The same-lattice relation covers two of them, both groups
+with r_e >= 2 or both with r_e = 1, at equal deficiency and equal mu_0.  The
+mixed relation pairs a group of exponent p^e (the first one) with r_e >= 2
+with a partner with r_e = 1, of deficiency smaller by one and doubled mu_0.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from .errors import (
 from .group import AbelianPGroup, _prime, is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
-from .spectrum import full_spectrum, genus_view, has_large_invariants, reduced_min_large
+from .spectrum import closed_form_spectrum, full_spectrum, genus_view
+from .spectrum import has_large_invariants, reduced_min_large
 
 RELATION_SAME = "equal_spectrum_same_lattice"
 RELATION_MIXED = "equal_spectrum_p2_mixed"
@@ -78,8 +80,8 @@ def rho(p: int) -> tuple[int, int, int]:
 def e3_family(G: AbelianPGroup, k: int) -> AbelianPGroup:
     """Shift the invariants of an exponent-p^3 group by k * rho(p).
 
-    Source and image must both satisfy the large-invariant hypothesis, and
-    for p = 2 they must agree on whether the top summand repeats; then the
+    Source and image must both satisfy the large-invariant hypothesis and
+    share epsilon (for p = 2, whether the top summand repeats); then the
     shifted group shares order, exponent and full spectrum with G.
     """
     if G.e != 3:
@@ -95,7 +97,7 @@ def e3_family(G: AbelianPGroup, k: int) -> AbelianPGroup:
         shifted = None
     if shifted is None or not has_large_invariants(shifted):
         raise OutOfFamilyError(f"shift by k={k} leaves the large-invariant family: {r}")
-    if G.p == 2 and (G.r[2] >= 2) != (r[2] >= 2):
+    if shifted.epsilon != G.epsilon:
         raise OutOfFamilyError(
             f"shift by k={k} changes the top-summand parity class: {G.r} -> {r}"
         )
@@ -104,16 +106,8 @@ def e3_family(G: AbelianPGroup, k: int) -> AbelianPGroup:
 
 def genus_progression(G: AbelianPGroup) -> tuple[int, int]:
     """(start, step) with sp(G) = start + step * N_0, for large invariants."""
-    if not has_large_invariants(G):
-        raise UnsupportedError(f"{G} does not satisfy the large-invariant hypothesis")
-    return _lift(G.p_delta, reduced_min_large(G), G.epsilon)
-
-
-def _lift(p_delta: int, mu: HalfInt, epsilon: int) -> tuple[int, int]:
-    """The genus progression (1 + p^delta mu, p^delta / epsilon) of a group
-    with large invariants, reduced minimum mu and the given p^delta and
-    epsilon."""
-    return genus_of(p_delta, mu), kulkarni_n(p_delta, epsilon)
+    view = genus_view(G, closed_form_spectrum(G))
+    return view.min_genus, view.step
 
 
 def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
@@ -470,7 +464,7 @@ def _checked_progression(
                 f"search group {g} does not have deficiency {delta}, mu_0 = {mu} "
                 f"and epsilon = {epsilon}"
             )
-    return _lift(p_delta, mu, epsilon)
+    return genus_of(p_delta, mu), kulkarni_n(p_delta, epsilon)
 
 
 def _search_class(
@@ -560,8 +554,11 @@ def search_counterexamples(
     """All equal-spectrum pairs (G, G~) of exponents p^e and p^e_tilde with
     large invariants and cyclic deficiencies at most delta_max.
 
-    `relation` restricts to one of the two p = 2 relation classes; by
-    default both are searched (odd p only has the same-lattice relation).
+    `relation` restricts to one of the two p = 2 relations; by default both
+    are searched (odd p only has the same-lattice relation).  For p = 2 the
+    same-lattice relation is two classes, both groups with r_e >= 2 or both
+    with r_e = 1, and the mixed one is a third: the exponent-p^e group with
+    r_e >= 2, the exponent-p^e_tilde one with r_e = 1.
     The result is exhaustive within the bound and sorted by deficiency.  It
     lists every pair, so where several groups of each exponent share one
     deficiency and one mu_0 its size is the product of their counts, and it

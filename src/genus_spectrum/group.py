@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import Callable
 
 from .errors import (
     InputError,
@@ -71,6 +72,15 @@ def _prime(p, error=InputError) -> int:
     if not is_prime(p):
         raise error(f"{p} is not prime")
     return p
+
+
+def _limited_power(p: int, k: int, what: Callable[[], str]) -> int:
+    """p^k, or OutOfRangeError naming what() when it may pass POWER_BITS_LIMIT bits."""
+    # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
+    # bits, exactly that many for p = 2
+    if k * (p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1):
+        raise OutOfRangeError(f"{what()} may pass the limit of {POWER_BITS_LIMIT} bits")
+    return p**k
 
 
 @dataclass(frozen=True)
@@ -133,13 +143,7 @@ class AbelianPGroup:
 
     def _power(self, k: int, what: str) -> int:
         """p^k, or OutOfRangeError when it may pass POWER_BITS_LIMIT bits."""
-        # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
-        # bits, exactly that many for p = 2
-        if k * (self.p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1):
-            raise OutOfRangeError(
-                f"{what} = {self.p}^{k} of {self} may pass the limit of {POWER_BITS_LIMIT} bits"
-            )
-        return self.p**k
+        return _limited_power(self.p, k, lambda: f"{what} = {self.p}^{k} of {self}")
 
     @property
     def epsilon(self) -> int:

@@ -45,7 +45,7 @@ from .errors import (
     _as_int,
     _int_in,
 )
-from .group import AbelianPGroup, _prime, e_prime, kulkarni_n
+from .group import AbelianPGroup, _limited_power, _prime, e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
 from .mingenus import mu0
@@ -283,11 +283,13 @@ def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
 
 
 def spectrum_bound_formula(p: int, e: int) -> int:
-    """Least m accepted by group_for_spectrum, for a prime p and e >= 1."""
+    """Least m accepted by group_for_spectrum, for a prime p and e >= 1.
+    Where p^e may pass POWER_BITS_LIMIT bits it raises OutOfRangeError."""
     p, e = _prime(p, InvalidPrimeError), _int_in(e, "exponent index", 1, error=OutOfRangeError)
+    pe = _limited_power(p, e, lambda: f"p^e = {p}^{e}")
     if p == 2:
-        return (e - 1) * 2 ** (e + 1) + 2
-    return (2 * e - 1) * p**e - 2 * (p**e - 1) // (p - 1) + 1
+        return (e - 1) * 2 * pe + 2
+    return (2 * e - 1) * pe - 2 * (pe - 1) // (p - 1) + 1
 
 
 def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
@@ -301,9 +303,10 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
     p = _int_in(p, "p", 2)
     e = _int_in(e, "exponent index", 1, error=OutOfRangeError)
     m = _as_int(m)
+    least = spectrum_bound_formula(p, e)  # refuses a p^e past the limit before the e entries
     a = [max(p - 1, 2) + 2 * (p - 1) * (e - j) for j in range(1, e + 1)]
     base = wp_eval(p, a)
-    if base != spectrum_bound_formula(p, e):
+    if base != least:
         raise VerificationError(f"base sequence for p = {p}, e = {e} evaluates to {base}")
     if m < base:
         raise OutOfRangeError(f"m = {m} below the least admissible value {base}")
@@ -356,26 +359,18 @@ def classify_small(G: AbelianPGroup) -> SmallClass:
 def mu0_plus(G: AbelianPGroup) -> HalfInt:
     """Smallest positive reduced genus.
 
-    Rank <= 2 has closed forms (three families plus six small exceptions);
-    larger ranks fall back to the verified spectrum descriptor.
+    Rank <= 2 with p^e > 4 has closed forms in three families: cyclic, two
+    top summands, and one top summand.  Every other group, the rank <= 2
+    groups of exponent 2, 3 or 4 included, is read off the verified
+    spectrum descriptor.
     """
-    p, e = G.p, G.e
-    pe = p**e
-    if G.is_cyclic:
-        if pe in (2, 3, 4):
-            return HalfInt.of(1)
-        return HalfInt(period_weights(p, e)[0] - 2)
-    if G.rank == 2:
-        if G.p == 2 and G.r == (2,):
-            return HalfInt(1)
-        if G.p == 2 and G.r == (1, 1):
-            return HalfInt.of(1)
-        if G.p == 3 and G.r == (2,):
-            return HalfInt.of(1)
+    if G.rank <= 2 and G.exponent > 4:
+        weights = period_weights(G.p, G.e)
+        if G.is_cyclic:
+            return HalfInt(weights[0] - 2)
         if G.r[-1] == 2:
-            return HalfInt(pe - 3)
-        ep = e_prime(G)
-        return HalfInt(period_weights(p, e)[ep - 1] - 2)
+            return HalfInt(G.exponent - 3)
+        return HalfInt(weights[e_prime(G) - 1] - 2)
 
     desc = full_spectrum(G)
     v = max(desc.min_reduced, desc.step)

@@ -257,6 +257,23 @@ def test_oversized_sieves_exit_1_without_a_traceback():
         assert proc.stderr.count("\n") == 1, argv
 
 
+def test_oversized_exponents_exit_1_without_a_traceback():
+    # p^e would have 10^9 bits or more: refused before it or the e base
+    # entries are built
+    for p in ("2", "3"):
+        argv = ["construct", "--p", p, "--e", "1000000000", "--m", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "genus_spectrum", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_capped_memory,
+        )
+        assert proc.returncode == 1, p
+        assert proc.stdout == "", p
+        assert proc.stderr == f"error: p^e = {p}^1000000000 may pass the limit of 4000000 bits\n"
+
+
 def test_deep_exponent_prints_without_a_traceback():
     group = "2:" + ",".join(["0"] * 1199 + ["1"])
     proc = subprocess.run(
@@ -361,6 +378,19 @@ def _run_captured(argv):
     except SystemExit as exc:  # argparse's usage errors and --help
         code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# the scan bound B on a "verified up to" line may change with the scan; the
+# closed form's "verified up to infinity" may not
+_BOUND_LINE = re.compile(r"^verified up to (?!infinity).*$", re.M)
+
+
+def test_cli_output_matches_the_recorded_bytes():
+    for case in json.loads(CLI_EXPECTED.read_text(encoding="utf-8")):
+        code, out, err = _run_captured(case["argv"])
+        assert (code, err) == (0, ""), case["argv"]
+        got, want = (_BOUND_LINE.sub("verified up to B", t) for t in (out, case["stdout"]))
+        assert got == want, case["argv"]
 
 
 def test_the_shared_parser_gives_the_same_bytes():

@@ -1,6 +1,7 @@
 import gc
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
 from heapq import merge
 from itertools import product
@@ -18,6 +19,7 @@ from genus_spectrum import (
     InputError,
     OutOfFamilyError,
     OutOfRangeError,
+    SpectrumDescriptor,
     UnsupportedError,
     VerificationError,
     e3_family,
@@ -75,7 +77,7 @@ def test_e3_family_examples():
     assert e3_family(G, 0) == G
     with pytest.raises(OutOfFamilyError):
         e3_family(G, -1)  # r_2 would become 16, but r_1 drops below p-1
-    with pytest.raises(OutOfFamilyError):
+    with pytest.raises(OutOfFamilyError, match="top-summand parity class"):
         e3_family(parse_group("2:1,6,1"), 1)  # top-summand class flips
     with pytest.raises(OutOfFamilyError, match="hypothesis"):
         e3_family(parse_group("3:1,1,1"), 1)  # the source is outside the family
@@ -114,6 +116,14 @@ def test_progression_examples():
     assert (start, step) == (1 + 2**15 * 45, 2**15)
     with pytest.raises(UnsupportedError, match="hypothesis"):
         genus_progression(parse_group("3:0,1"))
+
+
+def test_genus_progression_checks_the_ambient_lattice(monkeypatch):
+    # the progression is read off genus_view, whose check guards it too
+    desc = SpectrumDescriptor(1, HalfInt(2), HalfInt(2), (), None)
+    monkeypatch.setattr(conjecture_module, "closed_form_spectrum", lambda G: desc)
+    with pytest.raises(VerificationError, match="3:1 has ambient lattice N_0 but minimum genus 2"):
+        genus_progression(parse_group("3:1"))
 
 
 def brute_pairs(p, e, et, delta_max):
@@ -196,6 +206,18 @@ def test_search_44_mixed():
     pairs = search_counterexamples(2, 4, 4, 86, relation=RELATION_MIXED)
     assert [(q.g1.encode(), q.g2.encode(), q.delta, str(q.mu1)) for q in pairs] == [
         ("2:1,1,1,21", "2:80,1,1,1", 86, "166")
+    ]
+
+
+def test_p2_same_lattice_pairs_both_top_summand_classes():
+    # the same-lattice relation pairs two groups with r_e >= 2 or two with
+    # r_e = 1; the mixed one pairs r_e >= 2 with r_e = 1
+    pairs = search_counterexamples(2, 5, 4, 74)
+    classes = Counter((q.relation, q.g1.r[-1] >= 2, q.g2.r[-1] >= 2) for q in pairs)
+    assert classes == {(RELATION_SAME, True, True): 535, (RELATION_SAME, False, False): 1}
+    single = [q for q in pairs if q.g1.r[-1] == 1]
+    assert [(q.g1.encode(), q.g2.encode(), q.delta, str(q.mu1)) for q in single] == [
+        ("2:1,1,1,17,1", "2:69,1,1,1", 74, "288")
     ]
 
 
@@ -721,6 +743,20 @@ def test_search_check_fires_under_optimized_interpreter():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.stdout == "True\n" * len(BROKEN_SEARCHES), proc.stderr
+
+
+def test_mu_of_checks_the_scale(monkeypatch):
+    # values of a scale-2 side are even in units of 2; a unit of 1 breaks that
+    side = _Side(2, 3, 2, 2)
+    assert side.mu_of(1) == 8
+    monkeypatch.setattr(side, "unit", 1)
+    with pytest.raises(VerificationError, match="weighted value 1 is not a multiple of 2"):
+        side.mu_of(1)
+
+
+def test_value_offset_checks_the_units():
+    with pytest.raises(VerificationError, match="search sides count in units 2 and 1"):
+        _value_offset(_Side(3, 3, 1, 1), _Side(2, 3, 2, 1))
 
 
 def test_search_checks_each_matched_value_once(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -119,6 +120,21 @@ def test_a_wrong_correction_raises_under_optimization():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.stdout == "raised\n", proc.stderr
+
+
+def test_mu0_checks_that_index_0_can_be_dropped(monkeypatch):
+    # s_1 = 2 is even, so index 0 is droppable; a block 0 below the others
+    # would make dropping it change the minimum
+    blocks = mingenus._blocks
+
+    def lowered(G):
+        out = blocks(G)
+        out[0] = dataclasses.replace(out[0], mu=HalfInt(min(b.mu.twice for b in out) - 2))
+        return out
+
+    monkeypatch.setattr(mingenus, "_blocks", lowered)
+    with pytest.raises(VerificationError, match="dropping index 0 changes the reduced minimum of 2:1"):
+        mu0(AbelianPGroup(2, (1,)))
 
 
 def test_min_gamma_attaining_membership():

@@ -456,6 +456,28 @@ def test_spectrum_bound_formula_refuses_a_bad_prime_or_exponent():
             spectrum_bound_formula(2, e)
     with pytest.raises(InvalidPrimeError):
         group_for_spectrum(4, 3, 300)
+    # 2^(10^9) and 3^(10^9) would take minutes and gigabytes: refused before
+    # p^e is computed, and before group_for_spectrum lists its e entries
+    for p in (2, 3):
+        what = rf"p\^e = {p}\^1000000000 may pass the limit of 4000000 bits"
+        with pytest.raises(OutOfRangeError, match=what):
+            spectrum_bound_formula(p, 10**9)
+        with pytest.raises(OutOfRangeError, match=what):
+            group_for_spectrum(p, 10**9, 5)
+    # 2^(4 * 10^6 - 1) has 4 * 10^6 bits, one more and it is refused
+    assert spectrum_bound_formula(2, 4 * 10**6 - 1).bit_length() == 4 * 10**6 + 22
+    with pytest.raises(OutOfRangeError, match=r"p\^e = 2\^4000000 may pass"):
+        spectrum_bound_formula(2, 4 * 10**6)
+
+
+def test_group_for_spectrum_self_checks_raise(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_module, "spectrum_bound_formula", lambda p, e: 35)
+        with pytest.raises(VerificationError, match="base sequence for p = 2, e = 3 evaluates to 34"):
+            group_for_spectrum(2, 3, 40)
+    monkeypatch.setattr(spectrum_module, "has_large_invariants", lambda G: False)
+    with pytest.raises(VerificationError, match="constructed 2:2,2,1 for m = 34 lacks large invariants"):
+        group_for_spectrum(2, 3, 34)
 
 
 def test_group_for_spectrum_round_trip():
@@ -485,6 +507,33 @@ def test_mu0_plus_examples():
     assert mu0_plus(parse_group("3:0,1")) == 2
     assert mu0_plus(parse_group("2:0,2")) == hi(1)
     assert mu0_plus(parse_group("2:1,1")) == 1
+
+
+def test_a_scan_without_admissible_data_raises(monkeypatch):
+    # mu0_plus reads the groups of exponent 2, 3 and 4 off full_spectrum, so
+    # the check guards the two of them that are scanned
+    monkeypatch.setattr(spectrum_module, "_admissible_twice", lambda G, twice_bound: "0")
+    with pytest.raises(VerificationError, match="no admissible data below 15 for 3:0,1$"):
+        full_spectrum(parse_group("3:0,1"))
+    for enc in ("2:0,1", "2:0,2"):
+        with pytest.raises(VerificationError, match=f"no admissible data below .* for {enc}$"):
+            mu0_plus(parse_group(enc))
+
+
+def test_classify_small_checks_the_sign_of_mu0(monkeypatch):
+    real = spectrum_module.mu0
+    monkeypatch.setattr(
+        spectrum_module, "mu0", lambda G: dataclasses.replace(real(G), mu0=HalfInt.of(5))
+    )
+    with pytest.raises(VerificationError, match="2:2 classifies as genus_zero but has reduced minimum 5"):
+        classify_small(parse_group("2:2"))
+
+
+def test_genus_view_checks_the_ambient_lattice():
+    # delta = 0 gives the ambient lattice N_0, where the least genus must be 0
+    desc = SpectrumDescriptor(1, HalfInt(2), HalfInt(2), (), None)
+    with pytest.raises(VerificationError, match="3:1 has ambient lattice N_0 but minimum genus 2"):
+        genus_view(parse_group("3:1"), desc)
 
 
 def test_mu0_plus_against_oracle():
