@@ -53,11 +53,12 @@ from .errors import (
     _as_int,
     _int_in,
 )
-from .group import AbelianPGroup, _prime, is_prime, kulkarni_n
+from .group import AbelianPGroup, _check_power_bits, _prime, _unchecked_group
+from .group import is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
 from .spectrum import closed_form_spectrum, full_spectrum, genus_view
-from .spectrum import has_large_invariants, reduced_min_large
+from .spectrum import _progression_data, has_large_invariants, reduced_min_large
 
 RELATION_SAME = "equal_spectrum_same_lattice"
 RELATION_MIXED = "equal_spectrum_p2_mixed"
@@ -116,10 +117,16 @@ def spectra_equal(g1: AbelianPGroup, g2: AbelianPGroup) -> bool:
 
 
 def varying_exponent_pair(p: int) -> tuple[AbelianPGroup, AbelianPGroup]:
-    """The equal-spectrum series with exponents p^(p+2) and p^(p+1), p odd."""
+    """The equal-spectrum series with exponents p^(p+2) and p^(p+1), p odd.
+
+    Both groups have the deficiency delta, 2 delta = 2p^4 + 7p^3 + 6p^2 - 5p
+    - 12.  Where p^delta may pass POWER_BITS_LIMIT bits (p >= 31) it raises
+    OutOfRangeError before building the p + 2 invariants."""
     p = _as_int(p)
     if not is_prime(p) or p == 2:
         raise UnsupportedError(f"the varying-exponent series needs an odd prime, got {p}")
+    delta = (2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12) // 2
+    _check_power_bits(p, delta, lambda: f"p^delta = {p}^{delta} of the varying-exponent pair")
     r = (p - 1,) * p + (p, p**3 + p**2 - 2)
     if p == 3:
         rt: tuple[int, ...] = (177, 3, 2, 1)
@@ -173,10 +180,10 @@ class _Side:
     """
 
     def __init__(self, p: int, e: int, top_floor: int, scale: int):
-        self.p = p
+        # the side's one checked build: group_of adds counts t >= 0 to its r
+        floor_group = AbelianPGroup(p, [p - 1] * (e - 1) + [top_floor])
+        self.p, self.floors = floor_group.p, floor_group.r
         self.scale = scale
-        self.floors = tuple([p - 1] * (e - 1) + [top_floor])
-        floor_group = AbelianPGroup(p, self.floors)
         self.delta0 = floor_group.delta
         self.base_twice = reduced_min_large(floor_group).twice
         pinned = p == 2 and top_floor == 1
@@ -348,8 +355,9 @@ class _Side:
         return [(acc, t) for _, _, acc, t in partial]
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
-        # coin i has weight i, so t[i - 1] counts the summands of order p^i
-        return AbelianPGroup(self.p, tuple(map(add, self.floors, t + self._pad)))
+        # coin i has weight i, so t[i - 1] counts the summands of order p^i;
+        # t >= 0 on checked floors keeps every r_i >= 0 and r_e >= 1
+        return _unchecked_group(self.p, tuple(map(add, self.floors, t + self._pad)))
 
     def mu_of(self, units: int) -> HalfInt:
         value = units * self.unit
@@ -456,10 +464,12 @@ def _checked_progression(
     invariants, that deficiency and that minimum, and all one epsilon, or
     VerificationError is raised.  p_delta is p^delta."""
     epsilon = gs[0].epsilon
+    expected = (delta, epsilon, mu.twice)
     for g in gs:
-        if not has_large_invariants(g):
+        found = _progression_data(g)
+        if found is None:
             raise VerificationError(f"search group {g} lacks large invariants")
-        if g.delta != delta or g.epsilon != epsilon or reduced_min_large(g) != mu:
+        if found != expected:
             raise VerificationError(
                 f"search group {g} does not have deficiency {delta}, mu_0 = {mu} "
                 f"and epsilon = {epsilon}"

@@ -74,12 +74,17 @@ def _prime(p, error=InputError) -> int:
     return p
 
 
-def _limited_power(p: int, k: int, what: Callable[[], str]) -> int:
-    """p^k, or OutOfRangeError naming what() when it may pass POWER_BITS_LIMIT bits."""
+def _check_power_bits(p: int, k: int, what: Callable[[], str]) -> None:
+    """OutOfRangeError naming what() when p^k may pass POWER_BITS_LIMIT bits."""
     # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
     # bits, exactly that many for p = 2
     if k * (p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1):
         raise OutOfRangeError(f"{what()} may pass the limit of {POWER_BITS_LIMIT} bits")
+
+
+def _limited_power(p: int, k: int, what: Callable[[], str]) -> int:
+    """p^k, or OutOfRangeError naming what() when it may pass POWER_BITS_LIMIT bits."""
+    _check_power_bits(p, k, what)
     return p**k
 
 
@@ -165,6 +170,18 @@ class AbelianPGroup:
             if x > 0
         ]
         return " + ".join(parts)
+
+
+def _unchecked_group(p: int, r: tuple[int, ...]) -> AbelianPGroup:
+    """AbelianPGroup(p, r) without __post_init__'s checks, for a prime int p
+    and a tuple r of ints >= 0 with r[-1] >= 1 that the caller has checked.
+    It equals, hashes, reprs and pickles like the public build."""
+    # set as the frozen __init__ sets them: on CPython 3.11 a read of
+    # group.__dict__ would give each group a dict of its own, 2.5 times its size
+    group = object.__new__(AbelianPGroup)
+    object.__setattr__(group, "p", p)
+    object.__setattr__(group, "r", r)
+    return group
 
 
 def new_group(p: int, r) -> AbelianPGroup:

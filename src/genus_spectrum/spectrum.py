@@ -162,12 +162,27 @@ class SpectrumDescriptor:
 
 def has_large_invariants(G: AbelianPGroup) -> bool:
     """r_i >= p-1 for i < e and r_e >= max(p-2, 1)."""
-    return all(x >= G.p - 1 for x in G.r[:-1]) and G.r[-1] >= max(G.p - 2, 1)
+    p, r = G.p, G.r
+    return min(r[:-1], default=p) >= p - 1 and r[-1] >= max(p - 2, 1)
 
 
 def reduced_min_large(G: AbelianPGroup) -> HalfInt:
     """Closed-form mu_0 = sigma_0 for groups with large invariants."""
-    return HalfInt(-1 - G.exponent + sum(map(mul, period_weights(G.p, G.e), G.r)))
+    return HalfInt(_twice_min_large(G.p, G.r))
+
+
+def _twice_min_large(p: int, r: tuple[int, ...]) -> int:
+    """2 mu_0 = -1 - p^e + sum c_i r_i, the c_i of `period_weights`."""
+    return -1 - p ** len(r) + sum(map(mul, period_weights(p, len(r)), r))
+
+
+def _progression_data(G: AbelianPGroup) -> tuple[int, int, int] | None:
+    """(delta, epsilon, 2 mu_0) of G, the data of its genus progression, or
+    None when G lacks large invariants: one call per group for the search's
+    check, each value read off G.r by its home."""
+    if not has_large_invariants(G):
+        return None
+    return G.delta, G.epsilon, _twice_min_large(G.p, G.r)
 
 
 def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:

@@ -1,6 +1,10 @@
+import dataclasses
 import gc
+import hashlib
+import pickle
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import reduce
 from heapq import merge
@@ -321,6 +325,19 @@ def test_varying_exponent_pair():
         assert 2 * g1.delta == 2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12
         expect = HalfInt((p**3 + 2 * p**2 - 4) * p ** (p + 2) - p**3 - p**2 + 1)
         assert mu0(g1).mu0 == expect == mu0(g2).mu0
+
+
+def test_varying_exponent_pair_refuses_a_huge_p_delta():
+    # p^delta passes POWER_BITS_LIMIT from p = 31 on; p = 29 reads 3.86 * 10^6 bits
+    for p in (11, 13, 17, 29):
+        g1, g2 = varying_exponent_pair(p)
+        assert (g1.e, g2.e) == (p + 2, p + 1)
+        assert 2 * g1.delta == 2 * g2.delta == 2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12
+    for p in (31, 1_000_000_007):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError, match="the limit of 4000000 bits"):
+            varying_exponent_pair(p)
+        assert time.perf_counter() - start < 1
 
 
 def test_witness_recovery_leaves_no_reference_cycles():
@@ -761,11 +778,13 @@ def test_value_offset_checks_the_units():
 
 def test_search_checks_each_matched_value_once(monkeypatch):
     # one _window per side and listed deficiency (the witness walk reuses the
-    # root reach built), one reduced_min_large per witness and per side's
-    # floor group, and no per-group genus_progression
-    windows, minima, returned = [], [], []
+    # root reach built), one _progression_data per witness, one
+    # reduced_min_large per side's floor group, and no per-group
+    # genus_progression
+    windows, minima, checked, returned = [], [], [], []
     window, witnesses = _Side._window, _Side.witnesses
     reduced_min = conjecture_module.reduced_min_large
+    progression_data = conjecture_module._progression_data
 
     def counting_window(self, key):
         windows.append(key)
@@ -780,14 +799,55 @@ def test_search_checks_each_matched_value_once(monkeypatch):
         minima.append(G)
         return reduced_min(G)
 
+    def counting_data(G):
+        checked.append(G)
+        return progression_data(G)
+
     def no_progression(G):
         raise AssertionError("genus_progression ran per group")
 
     monkeypatch.setattr(_Side, "_window", counting_window)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
     monkeypatch.setattr(conjecture_module, "reduced_min_large", counting_min)
+    monkeypatch.setattr(conjecture_module, "_progression_data", counting_data)
     monkeypatch.setattr(conjecture_module, "genus_progression", no_progression)
     assert len(search_counterexamples(3, 5, 4, 350)) == 7205
     assert len(windows) == 2 * 164 == 328
     assert sum(returned) == 11315
-    assert len(minima) == 11315 + 2
+    assert len(checked) == 11315
+    assert len(minima) == 2
+
+
+# SHA-256 of each search's pairs as (g1.r, g2.r, delta1, delta2, 2 mu1, 2 mu2,
+# relation): a change to the search's internals must list the same pairs
+PAIR_DIGESTS = {
+    (3, 5, 4, 350, None): "bcaa249d14fb2bd6ff7182d366d284c94eafe03dfd1c57c0d59673092d3b4105",
+    (2, 5, 4, 100, None): "305ef219c0a4af24584628773ecd9f1f1fdacae2afafe501fb823c6f461bc23b",
+    (2, 4, 4, 86, RELATION_MIXED): "9573fd37c8fa38ec4a3f63bb60e1f78ad8dbecf51e1faa9543cffc373cf16bba",
+    (5, 7, 6, 1119, None): "fc2478f7ead79c140ea160b69ec16aaf85ff7f1b0fd3b25ceb52c4cb2d4054bd",
+    (2, 8, 7, 8220, RELATION_MIXED): "ce1a3cf1223f75c581728d07f25f5f4ceabbc255b9634dc8e9945ec414b61ab1",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PAIR_DIGESTS, key=str))
+def test_search_pair_lists_are_pinned(args):
+    pairs = search_counterexamples(*args)
+    rows = [(q.g1.r, q.g2.r, q.delta1, q.delta2, q.mu1.twice, q.mu2.twice, q.relation) for q in pairs]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PAIR_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", [(3, 5, 4, 350), (2, 5, 4, 100)])
+def test_search_groups_behave_like_public_builds(args):
+    # _Side.group_of builds its groups without AbelianPGroup's checks; each
+    # must be indistinguishable from the public build of the same p and r
+    groups = {g.r: g for q in search_counterexamples(*args) for g in (q.g1, q.g2)}
+    assert len(groups) > 1000
+    for g in groups.values():
+        public = AbelianPGroup(g.p, g.r)
+        assert vars(g) == vars(public) and type(g.p) is int
+        assert g == public and hash(g) == hash(public)
+        assert repr(g) == repr(public) and str(g) == g.encode() == public.encode()
+        assert g.s == public.s and vars(g) == vars(public)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g == public and vars(copy) == vars(g)
+        assert dataclasses.replace(g) == g == dataclasses.replace(public)
