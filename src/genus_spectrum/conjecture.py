@@ -52,8 +52,9 @@ from .errors import (
     VerificationError,
     _as_int,
     _int_in,
+    _unchecked,
 )
-from .group import AbelianPGroup, _check_power_bits, _prime, _unchecked_group
+from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
 from .group import is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
@@ -126,7 +127,8 @@ def varying_exponent_pair(p: int) -> tuple[AbelianPGroup, AbelianPGroup]:
     if not is_prime(p) or p == 2:
         raise UnsupportedError(f"the varying-exponent series needs an odd prime, got {p}")
     delta = (2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12) // 2
-    _check_power_bits(p, delta, lambda: f"p^delta = {p}^{delta} of the varying-exponent pair")
+    if _may_pass_power_bits(p, delta):
+        raise _power_bits_error(f"p^delta = {p}^{delta} of the varying-exponent pair")
     r = (p - 1,) * p + (p, p**3 + p**2 - 2)
     if p == 3:
         rt: tuple[int, ...] = (177, 3, 2, 1)
@@ -357,7 +359,7 @@ class _Side:
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
         # coin i has weight i, so t[i - 1] counts the summands of order p^i;
         # t >= 0 on checked floors keeps every r_i >= 0 and r_e >= 1
-        return _unchecked_group(self.p, tuple(map(add, self.floors, t + self._pad)))
+        return _unchecked(AbelianPGroup, self.p, tuple(map(add, self.floors, t + self._pad)))
 
     def mu_of(self, units: int) -> HalfInt:
         value = units * self.unit

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Callable
 
 from .errors import (
     InputError,
@@ -74,18 +73,16 @@ def _prime(p, error=InputError) -> int:
     return p
 
 
-def _check_power_bits(p: int, k: int, what: Callable[[], str]) -> None:
-    """OutOfRangeError naming what() when p^k may pass POWER_BITS_LIMIT bits."""
+def _may_pass_power_bits(p: int, k: int) -> bool:
+    """Whether p^k may pass POWER_BITS_LIMIT bits; checked before p^k is computed."""
     # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
     # bits, exactly that many for p = 2
-    if k * (p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1):
-        raise OutOfRangeError(f"{what()} may pass the limit of {POWER_BITS_LIMIT} bits")
+    return k * (p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1)
 
 
-def _limited_power(p: int, k: int, what: Callable[[], str]) -> int:
-    """p^k, or OutOfRangeError naming what() when it may pass POWER_BITS_LIMIT bits."""
-    _check_power_bits(p, k, what)
-    return p**k
+def _power_bits_error(what: str) -> OutOfRangeError:
+    """The refusal of a power, named by what, that may pass POWER_BITS_LIMIT bits."""
+    return OutOfRangeError(f"{what} may pass the limit of {POWER_BITS_LIMIT} bits")
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,9 @@ class AbelianPGroup:
 
     def _power(self, k: int, what: str) -> int:
         """p^k, or OutOfRangeError when it may pass POWER_BITS_LIMIT bits."""
-        return _limited_power(self.p, k, lambda: f"{what} = {self.p}^{k} of {self}")
+        if _may_pass_power_bits(self.p, k):
+            raise _power_bits_error(f"{what} = {self.p}^{k} of {self}")
+        return self.p**k
 
     @property
     def epsilon(self) -> int:
@@ -170,18 +169,6 @@ class AbelianPGroup:
             if x > 0
         ]
         return " + ".join(parts)
-
-
-def _unchecked_group(p: int, r: tuple[int, ...]) -> AbelianPGroup:
-    """AbelianPGroup(p, r) without __post_init__'s checks, for a prime int p
-    and a tuple r of ints >= 0 with r[-1] >= 1 that the caller has checked.
-    It equals, hashes, reprs and pickles like the public build."""
-    # set as the frozen __init__ sets them: on CPython 3.11 a read of
-    # group.__dict__ would give each group a dict of its own, 2.5 times its size
-    group = object.__new__(AbelianPGroup)
-    object.__setattr__(group, "p", p)
-    object.__setattr__(group, "r", r)
-    return group
 
 
 def new_group(p: int, r) -> AbelianPGroup:

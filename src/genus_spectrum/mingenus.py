@@ -16,12 +16,21 @@ attaining datum.  Restricted to p-groups this sharpens Maclachlan's
 minimum-genus bound, whose per-orbit-genus values nu_h are reproduced here
 for comparison.
 
-All blocks come from one pass over i = 0, ..., e on doubled ints (`_blocks`):
-a running Horner prefix carries wp(s_1, ..., s_i), a table holds the powers
-of p, and each HalfInt is built once at the end of its step.  The pass keeps
-a self-check per block: gamma at the hull of the bumped sequence, evaluated
-by its own Horner loop, must equal mu_i plus the correction, or
-VerificationError is raised.  `min_gamma_A` and `mu0` both read that pass.
+All blocks come from one pass over i = 0, ..., e on plain doubled ints
+(`_blocks`): a running Horner prefix carries wp(s_1, ..., s_i), a table holds
+the powers of p, and each block is the tuple (eps_i, 2 mu_i, 2 min, attaining
+sequence).  The pass keeps a self-check per block: gamma at the hull of the
+bumped sequence, evaluated by its own Horner loop, must equal mu_i plus the
+correction, or VerificationError is raised.  `_reduced_minimum` reads the
+index set and 2 mu_0 off the pass, checking that index 0 can be dropped.
+
+Three readers share the pass.  `classify_small` (in spectrum) takes only the
+doubled minimum from `_reduced_minimum` and builds no objects.  `mu0` builds
+its full report from `_reduced_minimum`, and `min_gamma_A` one IndexMinimum
+from `_blocks`; the HalfInts and IndexMinimums are built only there
+(`_index_minimum`).  Attaining data come from `_attaining_datum`, whose
+values a checked group supplies, so they skip PDatum's checks through
+`errors._unchecked`.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import neg
 
-from .errors import OutOfRangeError, UnsupportedError, VerificationError, _int_in
+from .errors import OutOfRangeError, UnsupportedError, VerificationError, _int_in, _unchecked
 from .group import AbelianPGroup
 from .halfint import HalfInt, twice_text
 from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
@@ -74,7 +83,11 @@ class IndexMinimum:
     attaining: GammaSeq
 
 
-def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
+# One block of the pass: (eps_i, 2 mu_i, 2 min over A_i, attaining sequence).
+_Block = tuple[int, int, int, GammaSeq]
+
+
+def _blocks(G: AbelianPGroup) -> list[_Block]:
     """Every block's minimum, i = 0, ..., e, in one pass (module docstring)."""
     p, e, s = G.p, G.e, G.s
     pw = [1]
@@ -109,13 +122,32 @@ def _blocks(G: AbelianPGroup) -> list[IndexMinimum]:
                 f"block {i} of {G}: gamma{attaining} = {twice_text(value)}, "
                 f"closed form gives {twice_text(mu + correction)}"
             )
-        blocks.append(IndexMinimum(i, eps, HalfInt(mu), HalfInt(value), attaining))
+        blocks.append((eps, mu, value, attaining))
     return blocks
+
+
+def _reduced_minimum(G: AbelianPGroup) -> tuple[list[_Block], IndexSet, int]:
+    """The blocks, the index set (eps_i = 0) and 2 mu_0, checking on the fly
+    that dropping i = 0 for even s_1 never changes the minimum."""
+    blocks = _blocks(G)
+    idx = _index_set(G, [eps for eps, _, _, _ in blocks])
+    mus = [blocks[i][1] for i in idx]  # idx[0] = 0: mus[1:] drops index 0
+    twice = min(mus)
+    if idx.zero_droppable and twice != min(mus[1:]):
+        raise VerificationError(f"dropping index 0 changes the reduced minimum of {G}")
+    return blocks, idx, twice
+
+
+def _index_minimum(i: int, block: _Block) -> IndexMinimum:
+    eps, mu, value, attaining = block
+    half_mu = HalfInt(mu)  # a block without bump attains mu_i: one HalfInt serves both
+    return IndexMinimum(i, eps, half_mu, half_mu if value == mu else HalfInt(value), attaining)
 
 
 def min_gamma_A(G: AbelianPGroup, i: int) -> IndexMinimum:
     """The minimum over block A_i, read from `_blocks`."""
-    return _blocks(G)[_int_in(i, "index", 0, G.e, OutOfRangeError)]
+    i = _int_in(i, "index", 0, G.e, OutOfRangeError)
+    return _index_minimum(i, _blocks(G)[i])
 
 
 class IndexSet(tuple):
@@ -132,6 +164,10 @@ class IndexSet(tuple):
         obj.zero_droppable = zero_droppable
         return obj
 
+    def __getnewargs__(self) -> tuple:
+        # what pickle and copy pass back to __new__
+        return tuple(self), self.zero_droppable
+
 
 def index_set(G: AbelianPGroup) -> IndexSet:
     """Indices whose block can realise the minimum (those with eps_i = 0)."""
@@ -139,17 +175,22 @@ def index_set(G: AbelianPGroup) -> IndexSet:
 
 
 def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
-    return IndexSet((i for i, eps in enumerate(epsilons) if eps == 0), G.s[0] % 2 == 0)
+    return IndexSet([i for i, eps in enumerate(epsilons) if eps == 0], G.s[0] % 2 == 0)
 
 
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
-    i = _int_in(i, "index", 0, G.e, OutOfRangeError)
+    return _attaining_datum(G, _int_in(i, "index", 0, G.e, OutOfRangeError))
+
+
+def _attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
+    # attaining_datum for an index already in range; G's checked invariants
+    # give ints >= 0, so the datum skips PDatum's checks
     x = [*G.r[:i], *(0,) * (G.e - i)]
     if i:
         x[i - 1] += G.s[i] % 2
-    return PDatum(x, G.s[i] // 2)
+    return _unchecked(PDatum, tuple(x), G.s[i] // 2)
 
 
 @dataclass(frozen=True)
@@ -172,17 +213,13 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
     checks on the fly that dropping i = 0 for even s_1 never changes the
     result.
     """
-    blocks = _blocks(G)
-    idx = _index_set(G, (m.epsilon for m in blocks))
-    twice = min(blocks[i].mu.twice for i in idx)
-    if idx.zero_droppable and twice != min(blocks[i].mu.twice for i in idx[1:]):
-        raise VerificationError(f"dropping index 0 changes the reduced minimum of {G}")
+    blocks, idx, twice = _reduced_minimum(G)
     return MinGenusReport(
         mu0=HalfInt(twice),
         minimum_genus=genus_of_twice(G.p_delta, twice),
         index_set=idx,
-        per_index=dict(enumerate(blocks)),
-        attaining_data=tuple(attaining_datum(G, i) for i in idx if blocks[i].mu.twice == twice),
+        per_index={i: _index_minimum(i, block) for i, block in enumerate(blocks)},
+        attaining_data=tuple(_attaining_datum(G, i) for i in idx if blocks[i][1] == twice),
     )
 
 

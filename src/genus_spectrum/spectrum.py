@@ -45,10 +45,11 @@ from .errors import (
     _as_int,
     _int_in,
 )
-from .group import AbelianPGroup, _limited_power, _prime, e_prime, kulkarni_n
+from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
+from .group import e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
-from .mingenus import mu0
+from .mingenus import _reduced_minimum
 from .signature import genus_of, genus_of_twice, period_weights
 
 
@@ -301,7 +302,9 @@ def spectrum_bound_formula(p: int, e: int) -> int:
     """Least m accepted by group_for_spectrum, for a prime p and e >= 1.
     Where p^e may pass POWER_BITS_LIMIT bits it raises OutOfRangeError."""
     p, e = _prime(p, InvalidPrimeError), _int_in(e, "exponent index", 1, error=OutOfRangeError)
-    pe = _limited_power(p, e, lambda: f"p^e = {p}^{e}")
+    if _may_pass_power_bits(p, e):
+        raise _power_bits_error(f"p^e = {p}^{e}")
+    pe = p**e
     if p == 2:
         return (e - 1) * 2 * pe + 2
     return (2 * e - 1) * pe - 2 * (pe - 1) // (p - 1) + 1
@@ -350,8 +353,9 @@ def classify_small(G: AbelianPGroup) -> SmallClass:
     """Minimum genus 0, 1, or larger, by the closed classification.
 
     Genus 0: cyclic groups and the Klein four-group.  Genus 1: the remaining
-    rank-2 groups and Z_2^3.  The sign of the computed reduced minimum is
-    checked against the classification.
+    rank-2 groups and Z_2^3.  The minimum genus 1 + p^delta mu_0 of the
+    computed reduced minimum is checked against the classification; it is
+    below 1, 1 or above 1 as mu_0 is negative, 0 or positive.
     """
     if G.is_cyclic or (G.p == 2 and G.r == (2,)):
         out = SmallClass.GENUS_ZERO
@@ -360,14 +364,17 @@ def classify_small(G: AbelianPGroup) -> SmallClass:
     else:
         out = SmallClass.POSITIVE
 
-    value = mu0(G).mu0
+    twice = _reduced_minimum(G)[2]
+    genus = genus_of_twice(G.p_delta, twice)
     expected = (
         SmallClass.GENUS_ZERO
-        if value < 0
-        else SmallClass.GENUS_ONE if value == 0 else SmallClass.POSITIVE
+        if genus < 1
+        else SmallClass.GENUS_ONE if genus == 1 else SmallClass.POSITIVE
     )
     if out is not expected:
-        raise VerificationError(f"{G} classifies as {out.value} but has reduced minimum {value}")
+        raise VerificationError(
+            f"{G} classifies as {out.value} but has reduced minimum {twice_text(twice)}"
+        )
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import subprocess
 import sys
 
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from genus_spectrum import (
     AbelianPGroup,
     HalfInt,
+    IndexMinimum,
+    IndexSet,
+    MinGenusReport,
     OutOfRangeError,
+    PDatum,
     UnsupportedError,
     VerificationError,
     attaining_datum,
@@ -129,12 +134,49 @@ def test_mu0_checks_that_index_0_can_be_dropped(monkeypatch):
 
     def lowered(G):
         out = blocks(G)
-        out[0] = dataclasses.replace(out[0], mu=HalfInt(min(b.mu.twice for b in out) - 2))
+        eps, _, value, attaining = out[0]
+        out[0] = (eps, min(mu for _, mu, _, _ in out) - 2, value, attaining)
         return out
 
     monkeypatch.setattr(mingenus, "_blocks", lowered)
     with pytest.raises(VerificationError, match="dropping index 0 changes the reduced minimum of 2:1"):
         mu0(AbelianPGroup(2, (1,)))
+
+
+def test_report_objects_behave_like_public_builds():
+    # attaining data are built without PDatum's checks; every object of a
+    # report must be indistinguishable from the public build of its fields
+    def same(built, public):
+        assert built == public and repr(built) == repr(public) and vars(built) == vars(public)
+        assert pickle.loads(pickle.dumps(built)) == built
+        assert dataclasses.replace(built) == built == dataclasses.replace(public)
+        if not isinstance(built, MinGenusReport):  # a report holds a dict
+            assert hash(built) == hash(public)
+
+    for G in all_groups((2, 3, 5), 3, 3):
+        report = mu0(G)
+        for i, m in report.per_index.items():
+            mu, value = HalfInt(m.mu.twice), HalfInt(m.min_value.twice)
+            public = IndexMinimum(i, m.epsilon, mu, value, m.attaining)
+            same(m.mu, public.mu)
+            same(m.min_value, public.min_value)
+            same(m, public)
+            same(min_gamma_A(G, i), public)
+            d = attaining_datum(G, i)
+            assert type(d.x) is tuple and str(d) == d.encode()
+            same(d, PDatum(list(d.x), d.h))
+        data = tuple(PDatum(list(d.x), d.h) for d in report.attaining_data)
+        for d, public in zip(report.attaining_data, data):
+            same(d, public)
+        public = MinGenusReport(
+            HalfInt(report.mu0.twice),
+            report.minimum_genus,
+            IndexSet(report.index_set, report.zero_droppable),
+            dict(report.per_index),
+            data,
+        )
+        same(report, public)
+        assert pickle.loads(pickle.dumps(report)).zero_droppable == report.zero_droppable
 
 
 def test_min_gamma_attaining_membership():

@@ -50,17 +50,19 @@ def test_p_delta_is_computed_only_in_group():
     assert found == []
 
 
-def test_unchecked_groups_are_built_only_by_the_search_sides():
-    # group._unchecked_group skips AbelianPGroup's checks, so only _Side.group_of,
-    # whose floors passed them, names it: no public input reaches an unchecked build
+def test_unchecked_builds_are_made_only_by_checked_callers():
+    # errors._unchecked skips a dataclass's checks, so only two callers name it,
+    # each building from values that passed them: _Side.group_of from its
+    # checked floors, and _attaining_datum from a checked group's invariants.
+    # No public input reaches an unchecked build.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         parents = {child: n for n in ast.walk(tree) for child in ast.iter_child_nodes(n)}
         for n in ast.walk(tree):
-            if isinstance(n, ast.alias) and n.name == "_unchecked_group":
+            if isinstance(n, ast.alias) and n.name == "_unchecked":
                 found.append(f"{path.name}:import as {n.asname}")
-            elif getattr(n, "id", getattr(n, "attr", None)) == "_unchecked_group":
+            elif getattr(n, "id", getattr(n, "attr", None)) == "_unchecked":
                 # the qualified name of the function that holds the reference
                 names, up = [], parents.get(n)
                 while up is not None:
@@ -68,7 +70,12 @@ def test_unchecked_groups_are_built_only_by_the_search_sides():
                         names.append(up.name)
                     up = parents.get(up)
                 found.append(f"{path.name}:{'.'.join(reversed(names))}")
-    assert found == ["conjecture.py:import as None", "conjecture.py:_Side.group_of"]
+    assert found == [
+        "conjecture.py:import as None",
+        "conjecture.py:_Side.group_of",
+        "mingenus.py:import as None",
+        "mingenus.py:_attaining_datum",
+    ]
 
 
 def test_kulkarni_n_is_computed_only_in_group():

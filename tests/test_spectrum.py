@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +32,7 @@ from genus_spectrum import (
     spectrum_bound_formula,
 )
 from genus_spectrum import mainline as mainline_module
+from genus_spectrum import mingenus as mingenus_module
 from genus_spectrum import spectrum as spectrum_module
 from helpers import (
     admissible_marks_by_walk,
@@ -499,8 +502,11 @@ def test_classify_small():
     assert classify_small(parse_group("3:1,1")) is SmallClass.GENUS_ONE
     assert classify_small(parse_group("2:4")) is SmallClass.POSITIVE
     assert classify_small(parse_group("3:2,2")) is SmallClass.POSITIVE
+    # the closed classification, read against the sign of mu_0
+    signs = {-1: SmallClass.GENUS_ZERO, 0: SmallClass.GENUS_ONE, 1: SmallClass.POSITIVE}
     for G in all_groups((2, 3, 5), 3, 2, max_log_order=6):
-        classify_small(G)  # internal sign assertion must hold
+        twice = mu0(G).mu0.twice
+        assert classify_small(G) is signs[(twice > 0) - (twice < 0)], G
 
 
 def test_mu0_plus_examples():
@@ -521,12 +527,29 @@ def test_a_scan_without_admissible_data_raises(monkeypatch):
 
 
 def test_classify_small_checks_the_sign_of_mu0(monkeypatch):
-    real = spectrum_module.mu0
+    # every block of 2:2 raised to a reduced value of 5: the minimum genus is
+    # then 11, where the classification says 0
+    blocks = mingenus_module._blocks
     monkeypatch.setattr(
-        spectrum_module, "mu0", lambda G: dataclasses.replace(real(G), mu0=HalfInt.of(5))
+        mingenus_module, "_blocks", lambda G: [(eps, 10, 10, a) for eps, _, _, a in blocks(G)]
     )
     with pytest.raises(VerificationError, match="2:2 classifies as genus_zero but has reduced minimum 5"):
         classify_small(parse_group("2:2"))
+
+
+def test_classify_small_checks_the_sign_of_mu0_under_optimization():
+    # python -O strips assert statements; the sign check must not be one
+    code = (
+        "from genus_spectrum import VerificationError, classify_small, mingenus, parse_group\n"
+        "blocks = mingenus._blocks\n"
+        "mingenus._blocks = lambda G: [(eps, 10, 10, a) for eps, _, _, a in blocks(G)]\n"
+        "try:\n"
+        "    classify_small(parse_group('2:2'))\n"
+        "except VerificationError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "2:2 classifies as genus_zero but has reduced minimum 5\n", proc.stderr
 
 
 def test_genus_view_checks_the_ambient_lattice():
