@@ -2,7 +2,7 @@
 
 Thin adapters only: every verb parses its arguments, calls one library
 operation, and renders the result as text or JSON.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+1 domain error or out of memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -175,16 +175,17 @@ def _cmd_admissible(args) -> int:
 def _cmd_mainline(args) -> int:
     seq = _parse_ints(args.sequence.split(","), "sequence", args.sequence)
     profile = mainline.mainline_profile(args.p, seq)
+    hull = mainline.hull(seq)
     payload = {
         "p": args.p,
         "sequence": list(seq),
-        "hull": list(mainline.hull(seq)),
+        "hull": list(hull),
         "mu": profile.mu,
         "sigma": profile.sigma,
         "gaps": list(profile.gaps),
     }
     text = [
-        f"hull = ({','.join(str(v) for v in mainline.hull(seq))})",
+        f"hull = ({','.join(str(v) for v in hull)})",
         f"mu = {profile.mu}, sigma = {profile.sigma}, gaps = {{{','.join(str(g) for g in profile.gaps)}}}",
     ]
     return _emit(args, payload, text)
@@ -301,6 +302,7 @@ def main() -> None:
     # the library's integers are unbounded, so printing them must be too
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    out_of_memory = False
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -309,6 +311,14 @@ def main() -> None:
         # point it at devnull to keep that flush from raising a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    except MemoryError:
+        # A last resort for a job whose memory outgrows the engines' up-front
+        # estimates.  The error is printed after this block, once the
+        # traceback and the job's frames are freed.
+        out_of_memory = True
+    if out_of_memory:
+        print("error: out of memory", file=sys.stderr)
         sys.exit(1)
     sys.exit(code)
 

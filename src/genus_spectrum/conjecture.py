@@ -52,7 +52,6 @@ from .errors import (
     VerificationError,
     _as_int,
     _int_in,
-    _unchecked,
 )
 from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
 from .group import is_prime, kulkarni_n
@@ -182,7 +181,7 @@ class _Side:
     """
 
     def __init__(self, p: int, e: int, top_floor: int, scale: int):
-        # the side's one checked build: group_of adds counts t >= 0 to its r
+        # p and the floors as the floor group's build checked them
         floor_group = AbelianPGroup(p, [p - 1] * (e - 1) + [top_floor])
         self.p, self.floors = floor_group.p, floor_group.r
         self.scale = scale
@@ -357,9 +356,8 @@ class _Side:
         return [(acc, t) for _, _, acc, t in partial]
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
-        # coin i has weight i, so t[i - 1] counts the summands of order p^i;
-        # t >= 0 on checked floors keeps every r_i >= 0 and r_e >= 1
-        return _unchecked(AbelianPGroup, self.p, tuple(map(add, self.floors, t + self._pad)))
+        # coin i has weight i, so t[i - 1] counts the summands of order p^i
+        return AbelianPGroup(self.p, tuple(map(add, self.floors, t + self._pad)))
 
     def mu_of(self, units: int) -> HalfInt:
         value = units * self.unit

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, the one home of each input rule,
-and the one build that skips those rules (`_unchecked`)."""
+"""Exception types shared across the package and the one home of each input rule."""
 
 from operator import index
 
@@ -76,14 +75,3 @@ def _parse_ints(tokens, what: str, text: str) -> tuple[int, ...]:
     except ValueError:
         raise InputError(f"non-numeric token in {what} {text!r}") from None
 
-
-def _unchecked(cls, *values):
-    """cls(*values) for a frozen dataclass, field by field in order, without
-    __post_init__'s checks, for values that the caller has already checked.
-    It equals, hashes, reprs and pickles like the public build."""
-    # set as the frozen __init__ sets them: on CPython 3.11 a read of
-    # obj.__dict__ would give each object a dict of its own, 2.5 times its size
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj

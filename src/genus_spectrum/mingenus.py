@@ -28,9 +28,7 @@ Three readers share the pass.  `classify_small` (in spectrum) takes only the
 doubled minimum from `_reduced_minimum` and builds no objects.  `mu0` builds
 its full report from `_reduced_minimum`, and `min_gamma_A` one IndexMinimum
 from `_blocks`; the HalfInts and IndexMinimums are built only there
-(`_index_minimum`).  Attaining data come from `_attaining_datum`, whose
-values a checked group supplies, so they skip PDatum's checks through
-`errors._unchecked`.
+(`_index_minimum`), and the attaining data only in `attaining_datum`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import neg
 
-from .errors import OutOfRangeError, UnsupportedError, VerificationError, _int_in, _unchecked
+from .errors import OutOfRangeError, UnsupportedError, VerificationError, _int_in
 from .group import AbelianPGroup
 from .halfint import HalfInt, twice_text
 from .signature import GammaSeq, PDatum, genus_of_twice, period_weights
@@ -181,16 +179,11 @@ def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
-    return _attaining_datum(G, _int_in(i, "index", 0, G.e, OutOfRangeError))
-
-
-def _attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
-    # attaining_datum for an index already in range; G's checked invariants
-    # give ints >= 0, so the datum skips PDatum's checks
+    i = _int_in(i, "index", 0, G.e, OutOfRangeError)
     x = [*G.r[:i], *(0,) * (G.e - i)]
     if i:
         x[i - 1] += G.s[i] % 2
-    return _unchecked(PDatum, tuple(x), G.s[i] // 2)
+    return PDatum(tuple(x), G.s[i] // 2)
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ def mu0(G: AbelianPGroup) -> MinGenusReport:
         minimum_genus=genus_of_twice(G.p_delta, twice),
         index_set=idx,
         per_index={i: _index_minimum(i, block) for i, block in enumerate(blocks)},
-        attaining_data=tuple(_attaining_datum(G, i) for i in idx if blocks[i][1] == twice),
+        attaining_data=tuple(attaining_datum(G, i) for i in idx if blocks[i][1] == twice),
     )
 
 

@@ -23,7 +23,7 @@ indexed by where the sequence leaves its constant tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import lt
 
 from .errors import InputError, VerificationError, _as_int, _int_in, _naturals, _parse_ints
@@ -53,7 +53,7 @@ class PDatum:
                 return i
         return 0
 
-    @cached_property
+    @property
     def f_prime(self) -> int:
         """Largest d with x_d + ... + x_f >= 2, or 0 when fewer than 2 periods."""
         return top_pair_index(self.x)

@@ -231,9 +231,9 @@ def test_oversized_search_exits_1_without_a_traceback():
     assert proc.stderr.startswith("error: 99386 deficiencies") and proc.stderr.count("\n") == 1
 
 
-def _capped_memory():
+def _capped_memory(limit=2 * 10**9):
     # a runaway engine fails fast instead of exhausting the machine's memory
-    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_oversized_sieves_exit_1_without_a_traceback():
@@ -339,6 +339,22 @@ def test_too_many_pairs_exit_1_without_a_traceback():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "limit of 100000 pairs" in proc.stderr
+
+
+def test_out_of_memory_exits_1_without_a_traceback():
+    # the memo of this search passes every up-front estimate but needs far
+    # more than 400 MB, so it runs out of memory within seconds
+    proc = subprocess.run(
+        [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "5", "--e", "8",
+         "--e-tilde", "7", "--delta-max", "900"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: _capped_memory(4 * 10**8),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_oracle_renders_each_value_once(monkeypatch, capsys):

@@ -838,8 +838,8 @@ def test_search_pair_lists_are_pinned(args):
 
 @pytest.mark.parametrize("args", [(3, 5, 4, 350), (2, 5, 4, 100)])
 def test_search_groups_behave_like_public_builds(args):
-    # _Side.group_of builds its groups without AbelianPGroup's checks; each
-    # must be indistinguishable from the public build of the same p and r
+    # each group _Side.group_of builds from its floors and a free vector must
+    # be indistinguishable from the public build of the same p and r
     groups = {g.r: g for q in search_counterexamples(*args) for g in (q.g1, q.g2)}
     assert len(groups) > 1000
     for g in groups.values():

@@ -144,8 +144,8 @@ def test_mu0_checks_that_index_0_can_be_dropped(monkeypatch):
 
 
 def test_report_objects_behave_like_public_builds():
-    # attaining data are built without PDatum's checks; every object of a
-    # report must be indistinguishable from the public build of its fields
+    # every object of a report, built from the block pass's plain ints, must
+    # be indistinguishable from the public build of its fields
     def same(built, public):
         assert built == public and repr(built) == repr(public) and vars(built) == vars(public)
         assert pickle.loads(pickle.dumps(built)) == built

@@ -50,31 +50,27 @@ def test_p_delta_is_computed_only_in_group():
     assert found == []
 
 
-def test_unchecked_builds_are_made_only_by_checked_callers():
-    # errors._unchecked skips a dataclass's checks, so only two callers name it,
-    # each building from values that passed them: _Side.group_of from its
-    # checked floors, and _attaining_datum from a checked group's invariants.
-    # No public input reaches an unchecked build.
+def test_objects_are_built_only_through_their_constructors():
+    # a __new__ call makes an object without running its class's checks, so
+    # every group and datum is built through its dataclass __init__.  Two
+    # builds call __new__ by design: a spectrum descriptor sets its fields
+    # and then runs its own _check, and IndexSet is a tuple subclass
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         parents = {child: n for n in ast.walk(tree) for child in ast.iter_child_nodes(n)}
         for n in ast.walk(tree):
-            if isinstance(n, ast.alias) and n.name == "_unchecked":
-                found.append(f"{path.name}:import as {n.asname}")
-            elif getattr(n, "id", getattr(n, "attr", None)) == "_unchecked":
-                # the qualified name of the function that holds the reference
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "__new__":
+                # the qualified name of the function that makes the call
                 names, up = [], parents.get(n)
                 while up is not None:
                     if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                         names.append(up.name)
                     up = parents.get(up)
-                found.append(f"{path.name}:{'.'.join(reversed(names))}")
+                found.append(f"{path.name}:{'.'.join(reversed(names))}:{ast.unparse(n.func)}")
     assert found == [
-        "conjecture.py:import as None",
-        "conjecture.py:_Side.group_of",
-        "mingenus.py:import as None",
-        "mingenus.py:_attaining_datum",
+        "mingenus.py:IndexSet.__new__:super().__new__",
+        "spectrum.py:SpectrumDescriptor._from_twice:cls.__new__",
     ]
 
 
