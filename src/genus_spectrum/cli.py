@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Thin adapters only: every verb parses its arguments, calls one library
-operation, and renders the result as text or JSON.  Exit codes: 0 success,
-1 domain error or out of memory, 2 usage error.
+operation, and returns the payload and the text lines; `run` prints the one
+asked for.  Exit codes: 0 success, 1 domain error or out of memory, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from .errors import GenusSpectrumError, _parse_ints
 from .halfint import HalfInt, twice_text
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> int:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
-
-
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args):
     G = group.parse_group(args.group)
     inv = group.invariants(G)
     # p^delta and |G| may have millions of digits, and str() is quadratic in them
@@ -56,10 +48,10 @@ def _cmd_invariants(args) -> int:
         f"N = {n}",
         f"|G| = {G.p}^{inv.log_order} = {order}",
     ]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_mu0(args) -> int:
+def _cmd_mu0(args):
     G = group.parse_group(args.group)
     report = mingenus.mu0(G)
     genus = str(report.minimum_genus)
@@ -89,10 +81,10 @@ def _cmd_mu0(args) -> int:
         f"index set = {{{','.join(str(i) for i in report.index_set)}}}",
         "attaining data: " + "  ".join(d.encode() for d in report.attaining_data),
     ]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_mu0plus(args) -> int:
+def _cmd_mu0plus(args):
     G = group.parse_group(args.group)
     value = spectrum.mu0_plus(G)
     genus = str(signature.genus_of(G.p_delta, value))
@@ -102,10 +94,10 @@ def _cmd_mu0plus(args) -> int:
         "mu_plus": genus,
     }
     text = [f"group = {G.encode()}", f"mu0+ = {value}", f"mu+ = {genus}"]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     G = group.parse_group(args.group)
     desc = spectrum.full_spectrum(G)
     view = spectrum.genus_view(G, desc)
@@ -121,38 +113,36 @@ def _cmd_spectrum(args) -> int:
             "genus_gaps": [str(g) for g in view.gap_genera],
             "sp": view.render(),
         }
-        print(json.dumps(payload))
-        return 0
+        return payload, None
     gaps = ",".join(map(twice_text, desc.gaps_twice))
-    print(
+    text = [
         f"group = {G.encode()}",
         f"epsilon = {desc.epsilon}",
         f"sp0: min = {desc.min_reduced}, stable = {desc.stable_reduced}, gaps = {{{gaps}}}",
         "verified up to "
         + ("infinity (closed form)" if desc.verified_bound is None else str(desc.verified_bound)),
         f"sp = {view.render()}",
-        sep="\n",
-    )
-    return 0
+    ]
+    return None, text
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     G = group.parse_group(args.group)
     bound = HalfInt.parse(args.bound)
     values = [str(v) for v in spectrum.oracle_reduced_spectrum(G, bound)]
     payload = {"group": G.encode(), "bound": str(bound), "values": values}
     text = [f"group = {G.encode()}", "values = {" + ",".join(values) + "}"]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     G = group.parse_group(args.group)
     cls = spectrum.classify_small(G)
     payload = {"group": G.encode(), "class": cls.value}
-    return _emit(args, payload, [f"group = {G.encode()}", f"class = {cls.value}"])
+    return payload, [f"group = {G.encode()}", f"class = {cls.value}"]
 
 
-def _cmd_admissible(args) -> int:
+def _cmd_admissible(args):
     G = group.parse_group(args.group)
     d = signature.parse_datum(args.datum)
     ok = signature.is_admissible(G, d)
@@ -169,10 +159,10 @@ def _cmd_admissible(args) -> int:
         text = [f"admissible, g={g}, g0={g0}"]
     else:
         text = [f"not admissible, g0={g0}"]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_mainline(args) -> int:
+def _cmd_mainline(args):
     seq = _parse_ints(args.sequence.split(","), "sequence", args.sequence)
     profile = mainline.mainline_profile(args.p, seq)
     hull = mainline.hull(seq)
@@ -188,10 +178,10 @@ def _cmd_mainline(args) -> int:
         f"hull = ({','.join(str(v) for v in hull)})",
         f"mu = {profile.mu}, sigma = {profile.sigma}, gaps = {{{','.join(str(g) for g in profile.gaps)}}}",
     ]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     G = spectrum.group_for_spectrum(args.p, args.e, args.m)
     desc = spectrum.closed_form_spectrum(G)
     payload = {
@@ -206,10 +196,10 @@ def _cmd_construct(args) -> int:
         f"mu0 = sigma0 = {desc.min_reduced}",
         f"lattice step = {desc.step}",
     ]
-    return _emit(args, payload, text)
+    return payload, text
 
 
-def _cmd_search_talu(args) -> int:
+def _cmd_search_talu(args):
     pairs = conjecture.search_counterexamples(
         args.p, args.e, args.e_tilde, args.delta_max, relation=args.relations[args.relation]
     )
@@ -226,7 +216,7 @@ def _cmd_search_talu(args) -> int:
             f"delta={q.delta}: {q.g1.encode()} ~ {q.g2.encode()} "
             f"mu0={q.mu1},{q.mu2} relation={q.relation}"
         )
-    return _emit(args, payload, text)
+    return payload, text
 
 
 @cache
@@ -292,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, text = args.fn(args)
     except GenusSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload) if args.format == "json" else "\n".join(text))
+    return 0
 
 
 def main() -> None:

@@ -384,7 +384,12 @@ def mu0_plus(G: AbelianPGroup) -> HalfInt:
     Rank <= 2 with p^e > 4 has closed forms in three families: cyclic, two
     top summands, and one top summand.  Every other group, the rank <= 2
     groups of exponent 2, 3 or 4 included, is read off the verified
-    spectrum descriptor.
+    spectrum descriptor as its first candidate `max(min, step)`, which is
+    checked to lie in the spectrum.  When the minimum is positive the
+    candidate is the minimum, never a gap.  The minimum is <= 0 only for
+    minimum genus <= 1, on this branch the eight groups 2:1, 3:1, 2:0,1,
+    2:2, 3:2, 2:1,1, 2:0,2 and 2:3, and for each the candidate is in the
+    spectrum.
     """
     if G.rank <= 2 and G.exponent > 4:
         weights = period_weights(G.p, G.e)
@@ -396,8 +401,8 @@ def mu0_plus(G: AbelianPGroup) -> HalfInt:
 
     desc = full_spectrum(G)
     v = max(desc.min_reduced, desc.step)
-    while not desc.contains_reduced(v):
-        v = v + desc.step
+    if not desc.contains_reduced(v):
+        raise VerificationError(f"{G}: the first positive candidate {v} is a gap")
     return v
 
 

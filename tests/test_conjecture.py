@@ -642,6 +642,11 @@ def test_listed_windows_are_checked_against_the_envelopes():
     broken = classes + [range(missing, missing + 1)]
     with pytest.raises(VerificationError, match=f"deficiency {missing}"):
         _search_class(side1, side2, offset, off, broken, width, RELATION_SAME)
+    # one below side 1's floor that side has no vector, so its envelope is None
+    below = side1.delta0 - 1
+    broken = classes + [range(below, below + 1)]
+    with pytest.raises(VerificationError, match=f"^deficiency {below} was listed, but its envelopes miss"):
+        _search_class(side1, side2, offset, off, broken, width, RELATION_SAME)
     with pytest.raises(VerificationError, match="summed width"):
         _search_class(side1, side2, offset, off, classes, width + 1, RELATION_SAME)
 

@@ -44,6 +44,11 @@ def test_arithmetic_and_order():
     assert -HalfInt(1) == HalfInt(-1)
     assert HalfInt(1) * 5 == HalfInt(5)
     assert 2 * HalfInt(1) == 1
+    # only integer scaling stays in (1/2)Z, and no str equals a HalfInt
+    for other in (1.5, HalfInt(2)):
+        with pytest.raises(TypeError):
+            HalfInt(2) * other
+    assert (HalfInt(2) == "1") is False
     assert HalfInt(1) < 1 < HalfInt(3) <= HalfInt.of(2) > 0
     assert sorted([HalfInt.of(1), HalfInt(1), HalfInt(-1)]) == [
         HalfInt(-1),

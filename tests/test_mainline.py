@@ -72,6 +72,9 @@ def test_gap_norm():
     assert gap_norm((3, 3, 2)) == 0
     assert INFINITY > 10**100
     assert not INFINITY < 0
+    assert INFINITY >= INFINITY and INFINITY <= INFINITY
+    assert not INFINITY <= 5 and 5 <= INFINITY
+    assert repr(INFINITY) == "INFINITY"
     with pytest.raises(InputError):
         gap_norm((2, 5))
 

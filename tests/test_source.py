@@ -74,6 +74,19 @@ def test_objects_are_built_only_through_their_constructors():
     ]
 
 
+def test_cli_prints_only_in_run_and_main():
+    # each verb returns its payload and text lines, and run prints the format
+    # asked for, so output has one route; main prints only the out-of-memory error
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = {
+        getattr(top, "name", "module")
+        for top in tree.body
+        for n in ast.walk(top)
+        if isinstance(n, ast.Call) and _callee(n.func) == "print"
+    }
+    assert found == {"run", "main"}
+
+
 def test_kulkarni_n_is_computed_only_in_group():
     # N = p^delta / epsilon and its divisibility check live in group.kulkarni_n;
     # only the lattice's constant steps (2 // epsilon) divide elsewhere

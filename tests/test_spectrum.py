@@ -515,6 +515,14 @@ def test_mu0_plus_examples():
     assert mu0_plus(parse_group("2:1,1")) == 1
 
 
+def test_mu0_plus_checks_its_first_candidate(monkeypatch):
+    # a descriptor with minimum -1 and step 1 that lists the candidate 1 as a gap
+    desc = SpectrumDescriptor(1, hi(-2), hi(6), (hi(2),), None)
+    monkeypatch.setattr(spectrum_module, "full_spectrum", lambda G: desc)
+    with pytest.raises(VerificationError, match="2:1: the first positive candidate 1 is a gap"):
+        mu0_plus(parse_group("2:1"))
+
+
 def test_a_scan_without_admissible_data_raises(monkeypatch):
     # mu0_plus reads the groups of exponent 2, 3 and 4 off full_spectrum, so
     # the check guards the two of them that are scanned
@@ -560,6 +568,13 @@ def test_genus_view_checks_the_ambient_lattice():
 
 
 def test_mu0_plus_against_oracle():
+    # among these are the eight groups of the descriptor branch whose reduced
+    # minimum is <= 0, the only ones whose first candidate max(min, step) is
+    # not the minimum
+    low = set()
     for G in all_groups((2, 3), 2, 3, max_log_order=6):
         positive = [v for v in oracle_reduced_spectrum(G, 30) if v > 0]
         assert mu0_plus(G) == positive[0], G
+        if (G.rank >= 3 or G.exponent <= 4) and full_spectrum(G).min_reduced <= 0:
+            low.add(G.encode())
+    assert low == {"2:1", "3:1", "2:0,1", "2:2", "3:2", "2:1,1", "2:0,2", "2:3"}
