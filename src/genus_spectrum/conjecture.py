@@ -18,15 +18,17 @@ produce equal-spectrum pairs:
   whose envelopes overlap are therefore listed class by class, not tested
   one by one, and only the overlap of the two envelopes is searched: each
   side computes, as a bitset over that window, the values it reaches, from a
-  memo of (coin, remaining weight, window) states that serves every
-  deficiency.
-  Each state derives its children once and keeps links to those that reach
-  a value, so the witness recovery follows the links and derives nothing
-  again.  A state tries only the counts of its coin that can meet its
-  window: the later coins' least and greatest value per weight bound every
-  value below each count, and a count whose bounds miss the window would
-  fail the exact envelope test anyway.  This keeps the search exhaustive
-  for deficiencies in the thousands, far beyond direct enumeration.
+  memo with one entry per (coin, remaining weight) that serves every
+  deficiency.  An entry keeps one window of values, which only grows: a
+  request outside it derives only the missing part and ORs it in, so each
+  value of an entry's window is derived once.
+  Each entry keeps links to the children that reach a value, so the witness
+  recovery follows the links and derives nothing again.  A part of a window
+  tries only the counts of its coin that can meet it: the later coins'
+  least and greatest value per weight bound every value below each count,
+  and a count whose bounds miss the part would fail the exact envelope test
+  anyway.  This keeps the search exhaustive for deficiencies in the
+  thousands, far beyond direct enumeration.
 
 For p = 2 the varying-exponent search runs three classes, by whether each
 group repeats its top summand (r_e >= 2, the half-integral reduced lattice)
@@ -174,10 +176,11 @@ class _Side:
     of 1 pins r_e = 1, so coin e is left out.  The least and the greatest
     value at each weight are closed forms (`_envelope`), so set-up needs no
     deficiency bound.  The caller chooses the window of values, inside the
-    envelope; the memo never keeps a root (`_window`), but the side keeps
-    the last root `reach` built, for the witness walk on the same window.
-    A memo state tries only the counts of its coin whose value-per-weight
-    bounds meet its window (`_counts`); the others have no child to keep.
+    envelope; the memo keeps one growing window per (coin, weight) but never
+    a root (`_window`), and the side keeps the last root `reach` built, for
+    the witness walk on the same window.  A part of a window tries only the
+    counts of its coin whose value-per-weight bounds meet it (`_counts`);
+    the others have no child to keep.
     """
 
     def __init__(self, p: int, e: int, top_floor: int, scale: int):
@@ -200,9 +203,9 @@ class _Side:
         # zero counts for the floors past the last coin (the pinned top)
         self._pad = (0,) * (e - len(self.coins))
 
-        # (coin index j, remaining weight rd, lo, hi) -> (bits, live children):
+        # (coin index j, remaining weight rd) -> [lo, hi, bits, live children]:
         # what coins j.. reach at weight rd in [lo, hi], see _window
-        self._memo: dict[tuple[int, int, int, int], tuple[int, tuple]] = {}
+        self._memo: dict[tuple[int, int], list] = {}
         # (key, entry) of the root that reach built last
         self._root: tuple = (None, None)
 
@@ -260,12 +263,12 @@ class _Side:
             k_lo = max(k_lo, -((bn * rd - lo * bd) // slope))
         return range(k_lo, k_hi + 1)
 
-    def _kids(self, key: tuple[int, int, int, int]) -> list[tuple[int, tuple, int]]:
-        """(count k of coin j, child key, shift) for each child whose window,
-        clipped to its envelope, is not empty; child bit b is parent bit
-        b + shift.  The counts tried are those of `_counts`, which leaves
-        out only children this test rejects.  `_window` calls it once per
-        memo key."""
+    def _kids(self, key: tuple[int, int, int, int]) -> list[tuple]:
+        """(count k of coin j, child (j + 1, rd - k w), child lo, child hi)
+        for each child of the window key (j, rd, lo, hi) whose window,
+        clipped to its envelope, is not empty.  The counts tried are those of
+        `_counts`, which leaves out only children this test rejects.
+        `_window` calls it once per part of a window that it derives."""
         j, rd, lo, hi = key
         w, v = self.coins[j]
         out = []
@@ -273,48 +276,85 @@ class _Side:
             nd, kv = rd - k * w, k * v
             env = self._envelope(j + 1, nd)
             if env is not None and env[0] + kv <= hi and lo <= env[1] + kv:
-                kid_lo = max(lo - kv, env[0])
-                out.append((k, (j + 1, nd, kid_lo, min(hi - kv, env[1])), kid_lo - lo + kv))
+                # conditional expressions: max() and min() calls, here and in
+                # the hull merge of `_window`, took a sixth of its time
+                kid_lo = env[0] if env[0] > lo - kv else lo - kv
+                kid_hi = env[1] if env[1] < hi - kv else hi - kv
+                out.append((k, (j + 1, nd), kid_lo, kid_hi))
         return out
 
-    def _window(self, key: tuple[int, int, int, int]) -> tuple[int, tuple]:
-        """(bits, live children) of the root `key` (all coins, weight d): the
-        bits, relative to its lo, of the values in its window that the coins
-        reach, and (k, shift, child entry) for each count k of the first coin
-        whose child has any bit set, in ascending k.  A child entry is the
-        child's own (bits, live children), the object the memo holds, so the
-        entries link down to the leaves (1, ()).
+    def _window(self, key: tuple[int, int, int, int]) -> list:
+        """The entry [lo, hi, bits, live] of the root `key` (all coins,
+        weight d, window [lo, hi]): the bits, relative to lo, of the values
+        in the window that the coins reach, and (k, child entry) for each
+        count k of the first coin whose child reaches one of them, in
+        ascending k.  Child bit b is parent bit b + shift, where shift is the
+        child's lo plus k v less the parent's lo.
 
-        The memo holds the same per key.  A key's children are keys of the
-        next coin, so the keys missing from the memo are listed coin by coin,
-        each with its children, and their entries are built from the last
-        coin back.  The root leaves the memo: it is never a child, and roots
-        are the widest windows.
+        The memo holds the same per (coin j, remaining weight rd), for one
+        window that only grows.  A request inside it does no work; outside
+        it, only the missing part, below lo or above hi, is derived and ORed
+        in (re-basing the bits when lo moves down), so each (j, rd) derives
+        each value of its window once.  Entries grow in place, so links to
+        them stay valid, and link only to the next coin's entries, so the
+        links form no cycle.  The parts to derive are listed coin by coin,
+        with the hull of the windows this pass asks of each child, and built
+        from the last coin back.  The root leaves the memo: it is never a
+        child, and roots are the widest windows.
         """
         memo = self._memo
-        # per coin, each missing key with its children, in first-listed order
-        levels: list[dict[tuple, list]] = [{key: []}]
+        _, d, lo, hi = key
+        # the hull of the windows this pass asks of each (j, rd) of one coin
+        asked: dict[tuple[int, int], tuple[int, int]] = {(0, d): (lo, hi)}
+        # per coin, each part of a window to derive, with its children
+        parts: list[list[tuple]] = []
         for _ in self.coins:
-            below: dict[tuple, list] = {}
-            for node in levels[-1]:
-                kids = levels[-1][node] = self._kids(node)
-                for _, kid, _ in kids:
-                    if kid not in memo:
-                        below[kid] = []
-            levels.append(below)
+            below: dict[tuple[int, int], tuple[int, int]] = {}
+            parts.append([])
+            for node, (lo, hi) in asked.items():
+                entry = memo.get(node)
+                missing = [(lo, hi)] if entry is None else [(lo, entry[0] - 1), (entry[1] + 1, hi)]
+                for part_lo, part_hi in missing:
+                    if part_lo > part_hi:
+                        continue
+                    kids = self._kids((node[0], node[1], part_lo, part_hi))
+                    parts[-1].append((node, part_lo, part_hi, kids))
+                    for _, kid, kid_lo, kid_hi in kids:
+                        was = below.get(kid)
+                        if was is None:
+                            below[kid] = kid_lo, kid_hi
+                        elif kid_lo < was[0] or kid_hi > was[1]:
+                            below[kid] = min(was[0], kid_lo), max(was[1], kid_hi)
+            asked = below
         # past the last coin only weight 0 and value 0 are left
-        for node in levels.pop():
-            memo[node] = (1, ())
-        while levels:
-            for node, kids in levels.pop().items():
+        for node in asked:
+            memo.setdefault(node, [0, 0, 1, ()])
+        while parts:
+            v = self.coins[len(parts) - 1][1]
+            for node, lo, hi, kids in parts.pop():
+                width = hi - lo + 1
                 bits, live = 0, []
-                for k, kid, shift in kids:
+                for k, kid, _, _ in kids:
                     entry = memo[kid]
-                    if entry[0]:
-                        bits |= entry[0] << shift
-                        live.append((k, shift, entry))
-                memo[node] = (bits, tuple(live))
-        return memo.pop(key)
+                    shift = entry[0] + k * v - lo
+                    got = entry[2] << shift if shift >= 0 else entry[2] >> -shift
+                    if got.bit_length() > width:
+                        got &= (1 << width) - 1
+                    if got:
+                        bits |= got
+                        live.append((k, entry))
+                entry = memo.get(node)
+                if entry is None:
+                    memo[node] = [lo, hi, bits, tuple(live)]
+                    continue
+                old_lo, old_hi, old_bits, old_live = entry
+                if lo < old_lo:
+                    bits, hi = bits | old_bits << (old_lo - lo), old_hi
+                else:
+                    bits, lo = old_bits | bits << (lo - old_lo), old_lo
+                # a count live in both parts links the same child entry
+                entry[:] = lo, hi, bits, tuple(sorted(dict(old_live + tuple(live)).items()))
+        return memo.pop((0, d))
 
     def reach(self, d: int, lo: int, hi: int) -> int:
         """Bitset, relative to lo, of the free values in [lo, hi] (in units)
@@ -322,7 +362,7 @@ class _Side:
         envelope at d."""
         key = (0, d, lo, hi)
         self._root = key, self._window(key)
-        return self._root[1][0]
+        return self._root[1][2]
 
     def witnesses(
         self, d: int, lo: int, hi: int, wanted: int
@@ -333,27 +373,31 @@ class _Side:
 
         The walk follows the live children of the root entry: the one
         `reach` built last when its window is this one, else a new one from
-        `_window`.  It carries the mask of still-wanted values and ANDs it
-        with each child's bits, so every node it visits lies on a path to an
-        output.  It makes one pass per coin over the partial vectors, taking
-        each one's children in ascending count, so vectors come out in
-        ascending order.
+        `_window`.  Each child's shift is worked out here from the two
+        window lows, as the memo's windows grow after a link is made.  The
+        walk carries the mask of still-wanted values and ANDs it with each
+        child's bits, so every node it visits lies on a path to an output.
+        It makes one pass per coin over the partial vectors, taking each
+        one's children in ascending count, so vectors come out in ascending
+        order.
         """
         key = (0, d, lo, hi)
         root_key, entry = self._root
-        bits, live = entry if root_key == key else self._window(key)
+        _, _, bits, live = entry if root_key == key else self._window(key)
         mask = wanted & bits
-        # (live children, wanted bits relative to the node's lo, value so
-        # far, prefix of t)
-        partial = [(live, mask, 0, ())] if mask else []
+        # (window low, live children, wanted bits relative to that low, value
+        # so far, prefix of t)
+        partial = [(lo, live, mask, 0, ())] if mask else []
         for _, v in self.coins:
             partial, last = [], partial
-            for live, mask, acc, t in last:
-                for k, shift, (kid_bits, kid_live) in live:
-                    sub = (mask >> shift) & kid_bits
+            for lo, live, mask, acc, t in last:
+                for k, (kid_lo, _, kid_bits, kid_live) in live:
+                    kv = k * v
+                    shift = kid_lo + kv - lo
+                    sub = (mask >> shift if shift >= 0 else mask << -shift) & kid_bits
                     if sub:
-                        partial.append((kid_live, sub, acc + k * v, t + (k,)))
-        return [(acc, t) for _, _, acc, t in partial]
+                        partial.append((kid_lo, kid_live, sub, acc + kv, t + (k,)))
+        return [(acc, t) for _, _, _, acc, t in partial]
 
     def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
         # coin i has weight i, so t[i - 1] counts the summands of order p^i

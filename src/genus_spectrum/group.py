@@ -11,7 +11,6 @@ governing the arithmetic progression that contains the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .errors import (
@@ -85,6 +84,22 @@ def _power_bits_error(what: str) -> OutOfRangeError:
     return OutOfRangeError(f"{what} may pass the limit of {POWER_BITS_LIMIT} bits")
 
 
+class _cached_property:
+    """A property computed on its first read and stored in the instance's
+    __dict__, which later reads find first: functools.cached_property as it
+    is from Python 3.12, without the lock it takes on each first read on
+    3.11."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class AbelianPGroup:
     """Direct sum of r_i copies of Z_{p^i}, of exponent exactly p^e."""
@@ -113,7 +128,7 @@ class AbelianPGroup:
     def is_cyclic(self) -> bool:
         return self.rank == 1
 
-    @cached_property
+    @_cached_property
     def s(self) -> tuple[int, ...]:
         """(s_1, ..., s_{e+1}) with s_i = 1 + sum(r_j for j >= i); s_{e+1} = 1."""
         out = [1] * (self.e + 1)

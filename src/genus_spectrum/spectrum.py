@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import mul
 
@@ -46,7 +45,7 @@ from .errors import (
     _int_in,
 )
 from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
-from .group import e_prime, kulkarni_n
+from .group import _cached_property, e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
 from .mingenus import _reduced_minimum
@@ -131,7 +130,7 @@ class SpectrumDescriptor:
         lo, step = _lattice(self.epsilon)
         return v.twice >= lo and v.twice % step == 0
 
-    @cached_property
+    @_cached_property
     def _gap_set(self) -> frozenset[int]:
         return frozenset(self.gaps_twice)
 

@@ -342,15 +342,16 @@ def test_too_many_pairs_exit_1_without_a_traceback():
 
 
 def test_out_of_memory_exits_1_without_a_traceback():
-    # the memo of this search passes every up-front estimate but needs far
-    # more than 400 MB, so it runs out of memory within seconds
+    # the memo of this search passes every up-front estimate (4.1 * 10^8
+    # window units) but needs far more than 250 MB, so it runs out of memory
+    # within seconds
     proc = subprocess.run(
-        [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "5", "--e", "8",
-         "--e-tilde", "7", "--delta-max", "900"],
+        [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "5", "--e", "9",
+         "--e-tilde", "8", "--delta-max", "800"],
         capture_output=True,
         text=True,
         timeout=60,
-        preexec_fn=lambda: _capped_memory(4 * 10**8),
+        preexec_fn=lambda: _capped_memory(25 * 10**7),
     )
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -2,10 +2,11 @@ import dataclasses
 import gc
 import hashlib
 import pickle
+import resource
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import reduce
 from heapq import merge
 from itertools import product
@@ -286,9 +287,16 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
     assert len(search_counterexamples(2, 5, 4, 60)) == 65
     # one witness walk per side and deficiency, whatever the matched values
     assert asked and len(asked) == len(set(asked))
-    # each memo key below a root derives its children once per side: the
-    # witness walk follows the memo's links instead
+    # each part of a (coin, weight) window below a root is derived once per
+    # side, and no two parts of one (coin, weight) overlap: the witness walk
+    # follows the memo's links instead
     assert derived and len(derived) == len(set(derived))
+    parts = defaultdict(list)
+    for side, (j, rd, lo, hi) in derived:
+        parts[side, j, rd].append((lo, hi))
+    for windows in parts.values():
+        windows.sort()
+        assert all(a[1] < b[0] for a, b in zip(windows, windows[1:])), windows
     built.clear()
     search_counterexamples(2, 4, 4, 40)
     # the two same-lattice classes each read one side; the mixed class two
@@ -477,9 +485,19 @@ def test_side_setup_does_not_grow_with_delta_max():
 def test_count_cut_keeps_every_child(monkeypatch):
     # the counts of _counts leave out only children the envelope test rejects:
     # on every relation-table row (the pinned p = 2 side and the scale-2 side
-    # too), for root windows of several widths and every memo key below them
-    # the children equal those found when every count of the coin is tried
+    # too), for root windows of several widths, every part of a window
+    # derived below them and every memo entry's whole window, the children
+    # equal those found when every count of the coin is tried
     cut = []
+    kids = _Side._kids
+
+    def recording_kids(self, key):
+        out = kids(self, key)
+        if key[0]:
+            cut.append((self, key, out))
+        return out
+
+    monkeypatch.setattr(_Side, "_kids", recording_kids)
     for p in (2, 3, 5, 7):
         specs = [(2, 1), (1, 1), (2, 2)] if p == 2 else [(p - 2, 1)]
         for e in range(1, 6):
@@ -487,7 +505,7 @@ def test_count_cut_keeps_every_child(monkeypatch):
                 side = _Side(p, e, top, scale)
                 n = len(side.coins)
                 roots = []
-                for d in range(41):
+                for d in range(61):
                     env = side._envelope(0, d)
                     if env is not None:
                         lo, hi = env
@@ -496,13 +514,15 @@ def test_count_cut_keeps_every_child(monkeypatch):
                 for key in roots:
                     if n:
                         side.reach(*key[1:])
-                for key in roots + list(side._memo):
+                memo = [(j, rd, lo, hi) for (j, rd), (lo, hi, _, _) in side._memo.items()]
+                for key in roots + memo:
                     if key[0] < n:
-                        cut.append((side, key, side._kids(key)))
+                        cut.append((side, key, kids(side, key)))
 
     def every_count(self, key):
         return range(key[1] // self.coins[key[0]][0] + 1)
 
+    monkeypatch.setattr(_Side, "_kids", kids)
     monkeypatch.setattr(_Side, "_counts", every_count)
     for side, key, kids in cut:
         assert side._kids(key) == kids, (side.p, side.floors, side.scale, key)
@@ -510,10 +530,12 @@ def test_count_cut_keeps_every_child(monkeypatch):
 
 
 def test_memo_entries_link_their_live_children(monkeypatch):
-    # after a search, every memo entry of each side is (bits, live) with bits
-    # the OR of its live children's bits at their shifts; every listed child
-    # reaches a value and is an entry the memo holds, the counts ascend, and
-    # every key past the last coin is the leaf (1, ())
+    # after a search, every memo entry of each side is [lo, hi, bits, live]:
+    # bits, relative to lo, are the OR of the live children's bits at the
+    # shifts their window lows give, cut to [lo, hi]; each child listed is
+    # the entry the memo holds for its (coin, weight) and reaches a value in
+    # the window, no other child does, the counts ascend, and the key past
+    # the last coin is the leaf [0, 0, 1, ()]
     built: list[_Side] = []
     init = _Side.__init__
 
@@ -527,17 +549,94 @@ def test_memo_entries_link_their_live_children(monkeypatch):
     checked = 0
     for side in built:
         n = len(side.coins)
-        held = {id(entry) for entry in side._memo.values()}
-        for key, (bits, live) in side._memo.items():
-            if key[0] == n:
-                assert (bits, live) == (1, ()), key
+        for (j, rd), entry in side._memo.items():
+            if j == n:
+                assert (rd, entry) == (0, [0, 0, 1, ()])
                 continue
-            assert bits == reduce(or_, (kid[0] << shift for _, shift, kid in live), 0), key
-            assert all(kid[0] and id(kid) in held for _, _, kid in live), key
-            ks = [k for k, _, _ in live]
-            assert ks == sorted(set(ks)), key
+            lo, hi, bits, live = entry
+            w, v = side.coins[j]
+
+            def part(k, kid):
+                shift = kid[0] + k * v - lo
+                return (kid[2] << shift if shift >= 0 else kid[2] >> -shift) % (1 << hi - lo + 1)
+
+            for k, kid in live:
+                assert kid is side._memo[j + 1, rd - k * w], (j, rd, k)
+            ks = [k for k, _ in live]
+            assert ks == sorted(set(ks)), (j, rd)
+            assert bits == reduce(or_, (part(k, kid) for k, kid in live), 0), (j, rd)
+            every = [(k, side._memo[kid]) for k, kid, _, _ in side._kids((j, rd, lo, hi))]
+            assert ks == [k for k, kid in every if part(k, kid)], (j, rd)
             checked += 1
-    assert checked > 5000
+    assert checked > 500
+
+
+def test_memo_keeps_one_growing_window_per_coin_and_weight(monkeypatch):
+    # every memo key is a (coin, weight) pair below the roots; its entry's
+    # window is the hull of the windows asked of it, and the parts derived
+    # for it do not overlap, so their summed width is at most that hull
+    built: list[_Side] = []
+    asked, derived = defaultdict(list), defaultdict(list)
+    init, kids = _Side.__init__, _Side._kids
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recording_kids(self, key):
+        derived[id(self), key[:2]].append(key[2:])
+        out = kids(self, key)
+        for _, kid, lo, hi in out:
+            asked[id(self), kid].append((lo, hi))
+        return out
+
+    monkeypatch.setattr(_Side, "__init__", recording_init)
+    monkeypatch.setattr(_Side, "_kids", recording_kids)
+    assert len(search_counterexamples(3, 5, 4, 350)) == 7205
+    assert search_counterexamples(2, 5, 4, 80)
+    checked = 0
+    for side in built:
+        n = len(side.coins)
+        for node, (lo, hi, _, _) in side._memo.items():
+            j, rd = node
+            assert 1 <= j <= n and type(j) is type(rd) is int, node
+            windows = asked[id(side), node]
+            assert (lo, hi) == (min(a for a, _ in windows), max(b for _, b in windows)), node
+            if j < n:
+                parts = sorted(derived[id(side), node])
+                assert all(a[1] < b[0] for a, b in zip(parts, parts[1:])), node
+                assert sum(b - a + 1 for a, b in parts) <= hi - lo + 1, node
+                checked += 1
+    assert checked > 500
+
+
+# SHA-256 of the pairs of search_counterexamples(5, 8, 7, 800), as in
+# PAIR_DIGESTS below
+MEMORY_DIGEST = "89b5e6ba30d971387af1f96a250d78c85f73b571f140408aec9e62c6fecaee9c"
+
+
+def test_search_memo_fits_a_capped_address_space():
+    # (5, 8, 7, 800) lists 546 pairs.  With a memo entry per (coin, weight,
+    # window) the search peaked near 290 MB, far past a 150 MB address
+    # space; with one entry per (coin, weight) it peaks near 35 MB
+    code = (
+        "import hashlib\n"
+        "from genus_spectrum import search_counterexamples\n"
+        "pairs = search_counterexamples(5, 8, 7, 800)\n"
+        "rows = [(q.g1.r, q.g2.r, q.delta1, q.delta2, q.mu1.twice, q.mu2.twice, q.relation)\n"
+        "        for q in pairs]\n"
+        "print(len(pairs), hashlib.sha256(repr(rows).encode()).hexdigest())\n"
+    )
+    limit = 15 * 10**7
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == f"546 {MEMORY_DIGEST}\n"
 
 
 def test_count_cut_tries_few_counts_at_the_roots(monkeypatch):
