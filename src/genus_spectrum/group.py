@@ -11,6 +11,7 @@ governing the arithmetic progression that contains the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 
 from .errors import (
@@ -84,22 +85,6 @@ def _power_bits_error(what: str) -> OutOfRangeError:
     return OutOfRangeError(f"{what} may pass the limit of {POWER_BITS_LIMIT} bits")
 
 
-class _cached_property:
-    """A property computed on its first read and stored in the instance's
-    __dict__, which later reads find first: functools.cached_property as it
-    is from Python 3.12, without the lock it takes on each first read on
-    3.11."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class AbelianPGroup:
     """Direct sum of r_i copies of Z_{p^i}, of exponent exactly p^e."""
@@ -128,13 +113,13 @@ class AbelianPGroup:
     def is_cyclic(self) -> bool:
         return self.rank == 1
 
-    @_cached_property
+    @property
     def s(self) -> tuple[int, ...]:
-        """(s_1, ..., s_{e+1}) with s_i = 1 + sum(r_j for j >= i); s_{e+1} = 1."""
-        out = [1] * (self.e + 1)
-        for i in range(self.e - 1, -1, -1):
-            out[i] = out[i + 1] + self.r[i]
-        return tuple(out)
+        """(s_1, ..., s_{e+1}) with s_i = 1 + sum(r_j for j >= i); s_{e+1} = 1.
+
+        Computed on each read, so a caller that indexes it in a loop reads it
+        into a local first."""
+        return tuple(accumulate(reversed(self.r), initial=1))[::-1]
 
     @property
     def log_order(self) -> int:

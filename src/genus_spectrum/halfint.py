@@ -8,6 +8,7 @@ stored in an unbounded Python int, and no floats or rationals ever appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import InputError
 
@@ -20,6 +21,7 @@ def twice_text(twice: int) -> str:
     return f"{twice}/2"
 
 
+@total_ordering  # <=, > and >= from __lt__ and __eq__
 @dataclass(frozen=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
@@ -91,15 +93,6 @@ class HalfInt:
 
     def __lt__(self, other: "HalfInt | int") -> bool:
         return self.twice < HalfInt.coerce(other).twice
-
-    def __le__(self, other: "HalfInt | int") -> bool:
-        return self.twice <= HalfInt.coerce(other).twice
-
-    def __gt__(self, other: "HalfInt | int") -> bool:
-        return self.twice > HalfInt.coerce(other).twice
-
-    def __ge__(self, other: "HalfInt | int") -> bool:
-        return self.twice >= HalfInt.coerce(other).twice
 
     # -- text form: twice_text -----------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import total_ordering
 from itertools import accumulate, compress
 from operator import mul, neg, sub
 from typing import Callable
@@ -34,20 +35,12 @@ from .errors import InputError, OutOfRangeError, VerificationError, _as_int, _in
 SIEVE_LIMIT = 10**6
 
 
+@total_ordering
 class _Infinity:
     """Distinguished infinite value for the gap norm of length-1 sequences."""
 
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
     def __lt__(self, other: object) -> bool:
         return False
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
 
     def __repr__(self) -> str:
         return "INFINITY"
@@ -219,7 +212,7 @@ def is_mainline(p: int, entries, m: int) -> bool:
     mu = wp_eval(p, t)
     if m < mu:
         return False
-    if m >= wp_eval(p, envelope(p, t)):
+    if m >= wp_eval(p, _majorant(t, p - 1)):  # the envelope of the hull t
         return True
     if (size := (m - mu) // 8 + 1) > SIEVE_LIMIT:
         what = f"the membership test of {m} for {t} at p = {p}"
@@ -248,7 +241,7 @@ def mainline_profile(p: int, entries) -> MainlineProfile:
     """
     p = _int_in(p, "base", 2)
     t = hull(entries)
-    mu, upper = wp_eval(p, t), wp_eval(p, envelope(p, t))
+    mu, upper = wp_eval(p, t), wp_eval(p, _majorant(t, p - 1))  # wp of t's envelope
     _sieve_length(mu, upper - 1, 1, lambda: f"the mainline profile of {t} at p = {p}")
     gaps = _holes(_marks(_mainline_reach(p, t, mu, upper - 1), mu, upper - 1, 1), mu, 1, 1)
     sigma = gaps[-1] + 1 if gaps else mu

@@ -21,8 +21,9 @@ All blocks come from one pass over i = 0, ..., e on plain doubled ints
 the powers of p, and each block is the tuple (eps_i, 2 mu_i, 2 min, attaining
 sequence).  The pass keeps a self-check per block: gamma at the hull of the
 bumped sequence, evaluated by its own Horner loop, must equal mu_i plus the
-correction, or VerificationError is raised.  `_reduced_minimum` reads the
-index set and 2 mu_0 off the pass, checking that index 0 can be dropped.
+correction, or VerificationError is raised.  `_reduced_minimum` takes the
+index set from `index_set`, which reads eps_i off s, and 2 mu_0 off the
+pass, checking that index 0 can be dropped.
 
 Three readers share the pass.  `classify_small` (in spectrum) takes only the
 doubled minimum from `_reduced_minimum` and builds no objects.  `mu0` builds
@@ -128,7 +129,7 @@ def _reduced_minimum(G: AbelianPGroup) -> tuple[list[_Block], IndexSet, int]:
     """The blocks, the index set (eps_i = 0) and 2 mu_0, checking on the fly
     that dropping i = 0 for even s_1 never changes the minimum."""
     blocks = _blocks(G)
-    idx = _index_set(G, [eps for eps, _, _, _ in blocks])
+    idx = index_set(G)
     mus = [blocks[i][1] for i in idx]  # idx[0] = 0: mus[1:] drops index 0
     twice = min(mus)
     if idx.zero_droppable and twice != min(mus[1:]):
@@ -169,21 +170,18 @@ class IndexSet(tuple):
 
 def index_set(G: AbelianPGroup) -> IndexSet:
     """Indices whose block can realise the minimum (those with eps_i = 0)."""
-    return _index_set(G, (_epsilon(G.s, i) for i in range(G.e + 1)))
-
-
-def _index_set(G: AbelianPGroup, epsilons) -> IndexSet:
-    return IndexSet([i for i, eps in enumerate(epsilons) if eps == 0], G.s[0] % 2 == 0)
+    s = G.s
+    return IndexSet([i for i in range(G.e + 1) if _epsilon(s, i) == 0], s[0] % 2 == 0)
 
 
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
     """The datum realising mu_i: invariants up to i, one bump if s_{i+1} is
     odd, no further periods, and orbit genus floor(s_{i+1}/2)."""
     i = _int_in(i, "index", 0, G.e, OutOfRangeError)
-    x = [*G.r[:i], *(0,) * (G.e - i)]
+    x, top = [*G.r[:i], *(0,) * (G.e - i)], G.s[i]
     if i:
-        x[i - 1] += G.s[i] % 2
-    return PDatum(tuple(x), G.s[i] // 2)
+        x[i - 1] += top % 2
+    return PDatum(tuple(x), top // 2)
 
 
 @dataclass(frozen=True)

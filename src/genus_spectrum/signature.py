@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import lt
 
 from .errors import InputError, VerificationError, _as_int, _int_in, _naturals, _parse_ints
@@ -121,10 +122,7 @@ def genus(G: AbelianPGroup, d: PDatum) -> int:
 
 def alpha(d: PDatum) -> GammaSeq:
     """Suffix-sum coordinates (x_i + ... + x_e + 2h)_i, ending in 2h."""
-    out = [2 * d.h] * (len(d.x) + 1)
-    for i in range(len(d.x) - 1, -1, -1):
-        out[i] = out[i + 1] + d.x[i]
-    return tuple(out)
+    return tuple(accumulate(reversed(d.x), initial=2 * d.h))[::-1]
 
 
 def _gamma_seq(a, length: int | None = None) -> GammaSeq:

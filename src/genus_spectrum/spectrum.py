@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import mul
 
@@ -45,9 +46,9 @@ from .errors import (
     _int_in,
 )
 from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
-from .group import _cached_property, e_prime, kulkarni_n
+from .group import e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
-from .mainline import _closure, _holes, _marks, _reach, _sieve_length, envelope, hull, wp_eval
+from .mainline import _closure, _holes, _majorant, _marks, _reach, _sieve_length, wp_eval
 from .mingenus import _reduced_minimum
 from .signature import genus_of, genus_of_twice, period_weights
 
@@ -130,7 +131,7 @@ class SpectrumDescriptor:
         lo, step = _lattice(self.epsilon)
         return v.twice >= lo and v.twice % step == 0
 
-    @_cached_property
+    @cached_property
     def _gap_set(self) -> frozenset[int]:
         return frozenset(self.gaps_twice)
 
@@ -255,12 +256,13 @@ def scan_bound(G: AbelianPGroup) -> HalfInt:
     s-sequence whose last entry is first raised to p-1, so that every
     residue class of the lattice is reached inside the top block.  Without
     that raise and the + 1 the estimate is never larger, since hull,
-    envelope and wp are monotone.  The scan independently re-verifies the
-    window below the returned bound, so B only has to be generous, not sharp.
+    envelope and wp are monotone.  The envelope of a hull is one majorant
+    fold with gaps p - 1.  The scan independently re-verifies the window
+    below the returned bound, so B only has to be generous, not sharp.
     """
     p, s = G.p, G.s[: G.e]
-    raised = hull([*s[:-1], max(s[-1], p - 1)])
-    return HalfInt((p - 1) * (wp_eval(p, envelope(p, raised)) + 1))
+    env = _majorant([*s[:-1], max(s[-1], p - 1)], p - 1)  # envelope(p, hull(raised s))
+    return HalfInt((p - 1) * (wp_eval(p, env) + 1))
 
 
 def full_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:
@@ -321,12 +323,12 @@ def group_for_spectrum(p: int, e: int, m: int) -> AbelianPGroup:
     e = _int_in(e, "exponent index", 1, error=OutOfRangeError)
     m = _as_int(m)
     least = spectrum_bound_formula(p, e)  # refuses a p^e past the limit before the e entries
+    if m < least:  # so is a small m: evaluating the entries is quadratic in e
+        raise OutOfRangeError(f"m = {m} below the least admissible value {least}")
     a = [max(p - 1, 2) + 2 * (p - 1) * (e - j) for j in range(1, e + 1)]
     base = wp_eval(p, a)
     if base != least:
         raise VerificationError(f"base sequence for p = {p}, e = {e} evaluates to {base}")
-    if m < base:
-        raise OutOfRangeError(f"m = {m} below the least admissible value {base}")
 
     rem = m - base
     b = [0] * e

@@ -1,3 +1,4 @@
+import itertools
 import resource
 import subprocess
 import sys
@@ -65,6 +66,14 @@ def test_envelope():
     with pytest.raises(InputError):
         envelope(3, (1, 2))
 
+
+def test_envelope_of_a_hull_is_one_majorant_fold():
+    # for p >= 2 the envelope of the hull is the least majorant with gaps
+    # >= p - 1, which scan_bound, is_mainline and mainline_profile take as one fold
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for a in itertools.product(range(6), repeat=n):
+                assert envelope(p, hull(a)) == mainline._majorant(a, p - 1), (p, a)
 
 def test_gap_norm():
     assert gap_norm((5, 2)) == 3

@@ -32,6 +32,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_hand_rolled_descriptors_or_orderings():
+    # functools provides cached_property and total_ordering: no class writes
+    # its own descriptor, or more than one of the four ordering methods
+    orderings = {"__lt__", "__le__", "__gt__", "__ge__"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                # methods, and names bound in the class body (`__le__ = ...`)
+                names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+                names |= {
+                    t.id
+                    for n in cls.body
+                    if isinstance(n, ast.Assign)
+                    for t in n.targets
+                    if isinstance(t, ast.Name)
+                }
+                if "__get__" in names or len(names & orderings) > 1:
+                    found.append(f"{path.name}:{cls.name}")
+    assert found == []
+
+
 def test_p_delta_is_computed_only_in_group():
     # p^delta has one home, AbelianPGroup.p_delta; every other module reads it
     found = []

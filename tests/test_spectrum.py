@@ -483,6 +483,16 @@ def test_group_for_spectrum_self_checks_raise(monkeypatch):
         group_for_spectrum(2, 3, 34)
 
 
+def test_group_for_spectrum_refuses_a_small_m_before_building_the_entries(monkeypatch):
+    # m is compared with the least value first, so a refused m never pays for
+    # the e base entries and their evaluation (quadratic in e)
+    def unreachable(p, entries):
+        raise AssertionError("the base entries were evaluated")
+
+    monkeypatch.setattr(spectrum_module, "wp_eval", unreachable)
+    with pytest.raises(OutOfRangeError, match="^m = 33 below the least admissible value 34$"):
+        group_for_spectrum(2, 3, 33)
+
 def test_group_for_spectrum_round_trip():
     for p, e in ((2, 2), (2, 3), (3, 2), (3, 3)):
         base = spectrum_bound_formula(p, e)
