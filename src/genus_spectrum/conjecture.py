@@ -36,6 +36,8 @@ or not (r_e = 1).  The same-lattice relation covers two of them, both groups
 with r_e >= 2 or both with r_e = 1, at equal deficiency and equal mu_0.  The
 mixed relation pairs a group of exponent p^e (the first one) with r_e >= 2
 with a partner with r_e = 1, of deficiency smaller by one and doubled mu_0.
+The mixed class read backwards, r_e = 1 on the exponent-p^e side, is not
+searched (see search_counterexamples).
 """
 
 from __future__ import annotations
@@ -171,31 +173,31 @@ class _Side:
     t >= 0.  The floor group (r = floors) is the home of the base values: its
     deficiency delta0 and its doubled reduced minimum base_twice.  A free
     vector adds sum(i t_i) to the deficiency and sum(c_i t_i) to twice mu_0,
-    with c_i = p^e - p^{e-i}.  `scale` pre-multiplies the values so that
-    doubled-mu relations become plain translations.  For p = 2 a top floor
-    of 1 pins r_e = 1, so coin e is left out.  The least and the greatest
-    value at each weight are closed forms (`_envelope`), so set-up needs no
-    deficiency bound.  The caller chooses the window of values, inside the
-    envelope; the memo keeps one growing window per (coin, weight) but never
-    a root (`_window`), and the side keeps the last root `reach` built, for
-    the witness walk on the same window.  A part of a window tries only the
-    counts of its coin whose value-per-weight bounds meet it (`_counts`);
-    the others have no child to keep.
+    with c_i = p^e - p^{e-i}; a relation class's mu_0 scale is applied by
+    `_value_offset` alone.  For p = 2 a top floor of 1 pins r_e = 1, so coin
+    e is left out.  The least and the greatest value at each weight are
+    closed forms (`_envelope`), so set-up needs no deficiency bound.  The
+    caller chooses the window of values, inside the envelope; the memo keeps
+    one growing window per (coin, weight) but never a root (`_window`), and
+    `witnesses` walks the root entry that `reach` built last.  A part of a
+    window tries only the counts of its coin whose value-per-weight bounds
+    meet it (`_counts`); the others have no child to keep.
     """
 
-    def __init__(self, p: int, e: int, top_floor: int, scale: int):
+    def __init__(self, p: int, e: int, top_floor: int):
         # p and the floors as the floor group's build checked them
         floor_group = AbelianPGroup(p, [p - 1] * (e - 1) + [top_floor])
         self.p, self.floors = floor_group.p, floor_group.r
-        self.scale = scale
         self.delta0 = floor_group.delta
         self.base_twice = reduced_min_large(floor_group).twice
         pinned = p == 2 and top_floor == 1
-        values = [scale * c for c in period_weights(p, e)[: e - 1 if pinned else e]]
+        values = period_weights(p, e)[: e - 1 if pinned else e]
         # every free value is a multiple of unit (0 without coins), so the
         # envelopes, windows and memo count in units: p - 1 times fewer bits
-        # for odd p.  Coin i has weight i.
-        self.unit = gcd(*values)
+        # for odd p.  The gcd starts at the top coin, p^e - 1 or p^e - p, so it
+        # is small at once; from c_1 up it stays p^(e-i) wide, cubic in e.
+        # Coin i has weight i.
+        self.unit = gcd(*reversed(values))
         self.coins = [(i, v // self.unit) for i, v in enumerate(values, start=1)]
 
         # value of the coin of weight i, with 0 at weight 0
@@ -206,8 +208,8 @@ class _Side:
         # (coin index j, remaining weight rd) -> [lo, hi, bits, live children]:
         # what coins j.. reach at weight rd in [lo, hi], see _window
         self._memo: dict[tuple[int, int], list] = {}
-        # (key, entry) of the root that reach built last
-        self._root: tuple = (None, None)
+        # the root entry that reach built last, an empty window before it
+        self._root: list = [0, -1, 0, ()]
 
     def _envelope(self, j: int, d: int) -> tuple[int, int] | None:
         """(least, greatest) value, in units, of the free vectors of weight d
@@ -359,31 +361,24 @@ class _Side:
     def reach(self, d: int, lo: int, hi: int) -> int:
         """Bitset, relative to lo, of the free values in [lo, hi] (in units)
         that the coins reach at exact weight d.  The window lies inside the
-        envelope at d."""
-        key = (0, d, lo, hi)
-        self._root = key, self._window(key)
-        return self._root[1][2]
+        envelope at d.  The side keeps the root entry for `witnesses`."""
+        self._root = self._window((0, d, lo, hi))
+        return self._root[2]
 
-    def witnesses(
-        self, d: int, lo: int, hi: int, wanted: int
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """(value, t) for every free vector t of weight d whose value, in
-        units, lies in [lo, hi] and has its bit, relative to lo, set in
-        `wanted`.  The window lies inside the envelope at d.
+    def witnesses(self, wanted: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(value, t) for every free vector t of the weight and window of the
+        last `reach` whose value, in units, has its bit, relative to the
+        window's low, set in `wanted`.
 
-        The walk follows the live children of the root entry: the one
-        `reach` built last when its window is this one, else a new one from
-        `_window`.  Each child's shift is worked out here from the two
-        window lows, as the memo's windows grow after a link is made.  The
-        walk carries the mask of still-wanted values and ANDs it with each
-        child's bits, so every node it visits lies on a path to an output.
-        It makes one pass per coin over the partial vectors, taking each
-        one's children in ascending count, so vectors come out in ascending
-        order.
+        The walk follows the live children of the root entry that `reach`
+        built.  Each child's shift is worked out here from the two window
+        lows, as the memo's windows grow after a link is made.  The walk
+        carries the mask of still-wanted values and ANDs it with each child's
+        bits, so every node it visits lies on a path to an output.  It makes
+        one pass per coin over the partial vectors, taking each one's
+        children in ascending count, so vectors come out in ascending order.
         """
-        key = (0, d, lo, hi)
-        root_key, entry = self._root
-        _, _, bits, live = entry if root_key == key else self._window(key)
+        lo, _, bits, live = self._root
         mask = wanted & bits
         # (window low, live children, wanted bits relative to that low, value
         # so far, prefix of t)
@@ -404,10 +399,7 @@ class _Side:
         return AbelianPGroup(self.p, tuple(map(add, self.floors, t + self._pad)))
 
     def mu_of(self, units: int) -> HalfInt:
-        value = units * self.unit
-        if value % self.scale != 0:
-            raise VerificationError(f"weighted value {value} is not a multiple of {self.scale}")
-        return HalfInt(self.base_twice + value // self.scale)
+        return HalfInt(self.base_twice + units * self.unit)
 
 
 def _overlap(env1, env2, off: int) -> tuple[int, int] | None:
@@ -431,16 +423,16 @@ def _positive_sum(c: int, s: int, q0: int, q1: int) -> int:
     return n * c + s * ((q0 + q1) * n // 2) if n > 0 else 0
 
 
-def _value_offset(side1: _Side, side2: _Side) -> int | None:
-    """off such that a side-2 value y lines up with the side-1 value y + off,
-    or None when no value is congruent to both bases."""
-    # A free value y of a side stands for scale * (twice mu_0) = base + unit * y,
-    # so with scales (2, 1) a match is mu_2 = 2 mu_1.  The two sides of a class
-    # count in one unit (a side without coins has unit 0 and only y = 0).
-    unit = side1.unit or side2.unit or 1
+def _value_offset(side1: _Side, side2: _Side, scale: int) -> int | None:
+    """off such that a side-2 value y lines up with the side-1 value y + off
+    when side 2's twice mu_0 is scale times side 1's, or None when no value
+    is congruent to both bases."""
+    # side 1's value y stands for scale * (base + unit * y), so both sides
+    # count in scale * unit (a side without coins has unit 0 and only y = 0)
+    unit = scale * side1.unit or side2.unit or 1
     if side2.unit not in (0, unit):
-        raise VerificationError(f"search sides count in units {side1.unit} and {side2.unit}")
-    off, rem = divmod(side2.scale * side2.base_twice - side1.scale * side1.base_twice, unit)
+        raise VerificationError(f"search sides count in units {unit} and {side2.unit}")
+    off, rem = divmod(side2.base_twice - scale * side1.base_twice, unit)
     return None if rem else off
 
 
@@ -548,9 +540,9 @@ def _search_class(
     """
     shared = side1 is side2
 
-    def groups(side: _Side, d: int, lo: int, hi: int, wanted: int) -> dict[int, list]:
+    def groups(side: _Side, wanted: int) -> dict[int, list]:
         by_value: dict[int, list[AbelianPGroup]] = {}
-        for y, t in side.witnesses(d, lo, hi, wanted):
+        for y, t in side.witnesses(wanted):
             by_value.setdefault(y, []).append(side.group_of(t))
         return by_value
 
@@ -570,8 +562,8 @@ def _search_class(
             continue
 
         # the witness walks return the matched values and no others
-        groups1 = groups(side1, d1, lo, hi, matched)
-        groups2 = groups1 if shared else groups(side2, d2, lo - off, hi - off, matched)
+        groups1 = groups(side1, matched)
+        groups2 = groups1 if shared else groups(side2, matched)
         # p^delta of each side, read off one of its groups, which
         # _checked_progression then checks for this deficiency
         pd1 = next(iter(groups1.values()))[0].p_delta
@@ -605,15 +597,19 @@ def search_counterexamples(
     delta_max: int,
     relation: str | None = None,
 ) -> list[CounterexamplePair]:
-    """All equal-spectrum pairs (G, G~) of exponents p^e and p^e_tilde with
-    large invariants and cyclic deficiencies at most delta_max.
+    """The equal-spectrum pairs (G, G~) of exponents p^e and p^e_tilde with
+    large invariants and cyclic deficiencies at most delta_max, in the
+    relation classes below.
 
     `relation` restricts to one of the two p = 2 relations; by default both
     are searched (odd p only has the same-lattice relation).  For p = 2 the
     same-lattice relation is two classes, both groups with r_e >= 2 or both
     with r_e = 1, and the mixed one is a third: the exponent-p^e group with
-    r_e >= 2, the exponent-p^e_tilde one with r_e = 1.
-    The result is exhaustive within the bound and sorted by deficiency.  It
+    r_e >= 2, the exponent-p^e_tilde one with r_e = 1.  That class read
+    backwards is not searched, so for e > e_tilde pairs such as 2:1,1 ~ 2:3
+    (both of spectrum 1 + 2 N_0, deficiencies 1 and 2) are missing.  The
+    result is exhaustive in these classes within the bound and sorted by
+    deficiency.  It
     lists every pair, so where several groups of each exponent share one
     deficiency and one mu_0 its size is the product of their counts, and it
     grows quickly with delta_max.
@@ -635,34 +631,34 @@ def search_counterexamples(
     against its deficiency and mu_0, and the two sides' genus progressions
     are compared once per value, not once per pair.
     """
-    p, e = _prime(p), _as_int(e)
+    p, e = _prime(p), _int_in(e, "e", 1)
     e_tilde, delta_max = _int_in(e_tilde, "e_tilde", 1, e), _as_int(delta_max)
     if relation not in (None, RELATION_SAME, RELATION_MIXED):
         raise InputError(f"unknown relation {relation!r}")
     if relation == RELATION_MIXED and p != 2:
         raise InputError("the mixed-lattice relation exists only for p = 2")
 
-    # The relation classes, one row each: (relation, (top floor, scale) of
-    # the exponent-p^e side, the same for the p^e_tilde side, deficiency
-    # offset).  A p = 2 top floor of 1 is the pinned single top summand, and
-    # scale 2 on the mixed class's first side doubles its mu_0.
+    # The relation classes, one row each: (relation, top floor of the
+    # exponent-p^e side, top floor of the p^e_tilde side, mu_0 scale of the
+    # first side, deficiency offset).  A p = 2 top floor of 1 is the pinned
+    # single top summand, and scale 2 on the mixed class's first side doubles
+    # its mu_0.
     table = [
-        (RELATION_SAME, (2, 1), (2, 1), 0),
-        (RELATION_SAME, (1, 1), (1, 1), 0),
-        (RELATION_MIXED, (2, 2), (1, 1), -1),
-    ] if p == 2 else [(RELATION_SAME, (p - 2, 1), (p - 2, 1), 0)]
-
+        (RELATION_SAME, 2, 2, 1, 0),
+        (RELATION_SAME, 1, 1, 1, 0),
+        (RELATION_MIXED, 2, 1, 2, -1),
+    ] if p == 2 else [(RELATION_SAME, p - 2, p - 2, 1, 0)]
+    table = [row for row in table if relation in (None, row[0])]
+    # one side per (exponent, top floor), shared by the classes that read it
+    keys = dict.fromkeys(key for _, t1, t2, _, _ in table for key in ((e, t1), (e_tilde, t2)))
+    sides = {key: _Side(p, *key) for key in keys}
     plan = []
-    for label, spec1, spec2, offset in table:
-        if relation not in (None, label):
-            continue
-        # an equal-exponent class is one side
-        side1 = _Side(p, e, *spec1)
-        side2 = side1 if (e, spec1) == (e_tilde, spec2) else _Side(p, e_tilde, *spec2)
+    for label, top1, top2, scale, offset in table:
+        side1, side2 = sides[e, top1], sides[e_tilde, top2]
         if side1 is side2 and len(side1.coins) <= 1:
             # one vector per weight: no two groups share a deficiency
             continue
-        off = _value_offset(side1, side2)
+        off = _value_offset(side1, side2, scale)
         if off is not None:
             listed = _overlap_classes(side1, side2, offset, delta_max, off)
             plan.append((side1, side2, offset, off, *listed, label))

@@ -216,6 +216,11 @@ def test_integers_past_the_default_digit_limit_print_without_a_traceback():
     assert construct.stderr.startswith("error: ") and construct.stderr.count("\n") == 1
 
 
+def test_search_names_a_bad_exponent(capsys):
+    argv = ["search-talu", "--p", "2", "--e", "-3", "--e-tilde", "1", "--delta-max", "5"]
+    assert capture(capsys, argv) == (1, "", "error: e must be >= 1, got -3\n")
+
+
 def test_oversized_search_exits_1_without_a_traceback():
     # 99 386 deficiencies pass the envelope test with windows summing to
     # 1.18 * 10^14 units; the preflight refuses before any memo is built

@@ -261,31 +261,52 @@ def test_search_output_contract():
 
 
 def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeypatch):
-    # wrap the side constructor and witness recovery the way bench/tracer.py does
+    # wrap the side constructor and witness recovery the way bench/tracer.py
+    # does; a witness walk is keyed by its class, its side and the weight of
+    # the side's last reach
     built: list[_Side] = []
-    asked: list[tuple[int, int]] = []
+    asked: list[tuple] = []
     derived: list[tuple[int, tuple]] = []
-    init, witnesses, kids = _Side.__init__, _Side.witnesses, _Side._kids
+    weight: dict[int, int] = {}
+    running: list[tuple] = []
+    init, reach, witnesses, kids = _Side.__init__, _Side.reach, _Side.witnesses, _Side._kids
+    search_class = conjecture_module._search_class
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
-    def counting_witnesses(self, d, lo, hi, wanted):
-        asked.append((id(self), d))
-        return witnesses(self, d, lo, hi, wanted)
+    def recording_reach(self, d, lo, hi):
+        weight[id(self)] = d
+        return reach(self, d, lo, hi)
+
+    def counting_witnesses(self, wanted):
+        asked.append((running[-1], id(self), weight[id(self)]))
+        return witnesses(self, wanted)
 
     def counting_kids(self, key):
         if key[0]:
             derived.append((id(self), key))
         return kids(self, key)
 
+    def recording_class(side1, side2, *args):
+        running.append((id(side1), id(side2), args[4]))
+        return search_class(side1, side2, *args)
+
     monkeypatch.setattr(_Side, "__init__", counting_init)
+    monkeypatch.setattr(_Side, "reach", recording_reach)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
     monkeypatch.setattr(_Side, "_kids", counting_kids)
+    monkeypatch.setattr(conjecture_module, "_search_class", recording_class)
 
     assert len(search_counterexamples(2, 5, 4, 60)) == 65
-    # one witness walk per side and deficiency, whatever the matched values
+    # one side per (exponent, top floor): the mixed class reads the sides of
+    # the two same-lattice classes
+    assert sorted((len(side.floors), side.floors[-1]) for side in built) == [
+        (4, 1), (4, 2), (5, 1), (5, 2)
+    ]
+    assert len(running) == 3
+    # one witness walk per class, side and deficiency, whatever the matched values
     assert asked and len(asked) == len(set(asked))
     # each part of a (coin, weight) window below a root is derived once per
     # side, and no two parts of one (coin, weight) overlap: the witness walk
@@ -299,8 +320,9 @@ def test_search_builds_each_side_once_and_recovers_each_witness_set_once(monkeyp
         assert all(a[1] < b[0] for a, b in zip(windows, windows[1:])), windows
     built.clear()
     search_counterexamples(2, 4, 4, 40)
-    # the two same-lattice classes each read one side; the mixed class two
-    assert len(built) == 4
+    # equal exponents: each same-lattice class reads one side, and the mixed
+    # class reads both
+    assert len(built) == 2
 
 
 def test_varying_exponent_minimality_p3():
@@ -349,7 +371,7 @@ def test_varying_exponent_pair_refuses_a_huge_p_delta():
 
 
 def test_witness_recovery_leaves_no_reference_cycles():
-    side = _Side(3, 5, 1, 1)
+    side = _Side(3, 5, 1)
     targets = []
     for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
@@ -359,7 +381,10 @@ def test_witness_recovery_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        found = [side.witnesses(d, lo, hi, bits) for d, lo, hi, bits in targets[:5]]
+        found = []
+        for d, lo, hi, bits in targets[:5]:
+            side.reach(d, lo, hi)
+            found.append(side.witnesses(bits))
         leaked = gc.collect()
     finally:
         gc.enable()
@@ -369,18 +394,35 @@ def test_witness_recovery_leaves_no_reference_cycles():
 
 def test_search_matches_bitset_join_reference(monkeypatch):
     # the windowed join against the full-width bitset join of tests/helpers.py:
-    # the same matched (deficiency, value) on each side and the same pairs
+    # the same matched (deficiency, value) on each side of each class and the
+    # same pairs.  A value is recorded with its class's mu_0 scale: 2 on the
+    # first side of the mixed class, else 1
     seen: set[tuple] = set()
-    witnesses = _Side.witnesses
+    window: dict[int, tuple[int, int]] = {}
+    scales: list[dict[int, int]] = []
+    reach, witnesses = _Side.reach, _Side.witnesses
+    search_class = conjecture_module._search_class
 
-    def recording_witnesses(self, d, lo, hi, wanted):
-        base = self.scale * self.base_twice
+    def recording_reach(self, d, lo, hi):
+        window[id(self)] = d, lo
+        return reach(self, d, lo, hi)
+
+    def recording_witnesses(self, wanted):
+        d, lo = window[id(self)]
+        scale = scales[-1][id(self)]
         for b in range(wanted.bit_length()):
             if wanted >> b & 1:
-                seen.add((self.floors, self.scale, self.delta0 + d, base + self.unit * (lo + b)))
-        return witnesses(self, d, lo, hi, wanted)
+                value = scale * (self.base_twice + self.unit * (lo + b))
+                seen.add((self.floors, scale, self.delta0 + d, value))
+        return witnesses(self, wanted)
 
+    def recording_class(side1, side2, *args):
+        scales.append({id(side2): 1, id(side1): 2 if args[4] == RELATION_MIXED else 1})
+        return search_class(side1, side2, *args)
+
+    monkeypatch.setattr(_Side, "reach", recording_reach)
     monkeypatch.setattr(_Side, "witnesses", recording_witnesses)
+    monkeypatch.setattr(conjecture_module, "_search_class", recording_class)
     total = 0
     for p, dmax in ((2, 40), (3, 60), (5, 100)):
         relations = (None, RELATION_SAME, RELATION_MIXED) if p == 2 else (None, RELATION_SAME)
@@ -403,7 +445,7 @@ def test_search_matches_bitset_join_reference(monkeypatch):
 def test_witnesses_return_exactly_the_wanted_values():
     # every other reachable value is wanted; the walk must return all vectors
     # of those values, in ascending order, and none of the others
-    side = _Side(3, 4, 1, 1)
+    side = _Side(3, 4, 1)
     checked = 0
     for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
@@ -416,7 +458,7 @@ def test_witnesses_return_exactly_the_wanted_values():
             if wanted >> (y - lo) & 1
             for t in ts
         )
-        found = side.witnesses(d, lo, hi, wanted)
+        found = side.witnesses(wanted)
         assert [t for _, t in found] == sorted(t for _, t in found)
         assert sorted(found) == expected, d
         checked += len(found)
@@ -438,15 +480,15 @@ def test_envelope_tables_match_the_closed_form():
     # floor, the spec lists it explicitly.
     checked = 0
     for p in (2, 3, 5, 7):
-        specs = [(2, False, 1), (1, True, 1), (2, False, 2)] if p == 2 else [(max(p - 2, 1), False, 1)]
+        specs = [(2, False), (1, True)] if p == 2 else [(max(p - 2, 1), False)]
         for e in range(1, 7):
-            for top, pin, scale in specs:
+            for top, pin in specs:
                 assert pin == (p == 2 and top == 1)
                 floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
                 for delta_max in (floor.delta - 1, floor.delta + 120):
-                    side = _Side(p, e, top, scale)
+                    side = _Side(p, e, top)
                     dmax = max(delta_max - side.delta0, 0)
-                    values = [scale * c for c in weights(p, e)][: e - 1 if pin else e]
+                    values = weights(p, e)[: e - 1 if pin else e]
                     unit = gcd(*values)
                     coins = [(i, v // unit) for i, v in enumerate(values, start=1)]
                     assert (side.delta0, side.unit, side.coins) == (floor.delta, unit, coins)
@@ -465,7 +507,7 @@ def test_side_setup_does_not_grow_with_delta_max():
     # builds at once; at the largest weight the bounds are attained by
     # explicit vectors: all coin 1, and dmax // n coins of weight n plus one
     # of weight dmax mod n
-    side = _Side(3, 5, 1, 1)
+    side = _Side(3, 5, 1)
     floor = AbelianPGroup(3, (2, 2, 2, 2, 1))
     assert side.delta0 == floor.delta
     dmax = 10**12 - side.delta0
@@ -484,8 +526,8 @@ def test_side_setup_does_not_grow_with_delta_max():
 
 def test_count_cut_keeps_every_child(monkeypatch):
     # the counts of _counts leave out only children the envelope test rejects:
-    # on every relation-table row (the pinned p = 2 side and the scale-2 side
-    # too), for root windows of several widths, every part of a window
+    # on every side of the relation table (the pinned p = 2 side too), for
+    # root windows of several widths, every part of a window
     # derived below them and every memo entry's whole window, the children
     # equal those found when every count of the coin is tried
     cut = []
@@ -499,13 +541,13 @@ def test_count_cut_keeps_every_child(monkeypatch):
 
     monkeypatch.setattr(_Side, "_kids", recording_kids)
     for p in (2, 3, 5, 7):
-        specs = [(2, 1), (1, 1), (2, 2)] if p == 2 else [(p - 2, 1)]
+        tops = (2, 1) if p == 2 else (p - 2,)
         for e in range(1, 6):
-            for top, scale in specs:
-                side = _Side(p, e, top, scale)
+            for top in tops:
+                side = _Side(p, e, top)
                 n = len(side.coins)
                 roots = []
-                for d in range(61):
+                for d in range(81):
                     env = side._envelope(0, d)
                     if env is not None:
                         lo, hi = env
@@ -525,7 +567,7 @@ def test_count_cut_keeps_every_child(monkeypatch):
     monkeypatch.setattr(_Side, "_kids", kids)
     monkeypatch.setattr(_Side, "_counts", every_count)
     for side, key, kids in cut:
-        assert side._kids(key) == kids, (side.p, side.floors, side.scale, key)
+        assert side._kids(key) == kids, (side.p, side.floors, key)
     assert len(cut) > 10000
 
 
@@ -657,13 +699,12 @@ def test_count_cut_tries_few_counts_at_the_roots(monkeypatch):
 
 
 def _relation_classes(p, e, et):
-    # (side1, side2, deficiency offset) per row of the search's relation table
-    rows = [((2, 1), (2, 1), 0), ((1, 1), (1, 1), 0), ((2, 2), (1, 1), -1)] if p == 2 else [
-        ((p - 2, 1), (p - 2, 1), 0)
-    ]
-    for spec1, spec2, offset in rows:
-        side1 = _Side(p, e, *spec1)
-        yield side1, side1 if (e, spec1) == (et, spec2) else _Side(p, et, *spec2), offset
+    # (side1, side2, deficiency offset, mu_0 scale of side 1) per row of the
+    # search's relation table
+    rows = [(2, 2, 0, 1), (1, 1, 0, 1), (2, 1, -1, 2)] if p == 2 else [(p - 2, p - 2, 0, 1)]
+    for top1, top2, offset, scale in rows:
+        side1 = _Side(p, e, top1)
+        yield side1, side1 if (e, top1) == (et, top2) else _Side(p, et, top2), offset, scale
 
 
 def test_overlap_listing_matches_the_scan():
@@ -676,10 +717,10 @@ def test_overlap_listing_matches_the_scan():
     for p in (2, 3, 5, 7):
         for e in range(1, 6):
             for et in range(1, e + 1):
-                for side1, side2, offset in _relation_classes(p, e, et):
+                for side1, side2, offset, scale in _relation_classes(p, e, et):
                     coinless += not (side1.coins and side2.coins)
-                    own = (side2.scale * side2.base_twice - side1.scale * side1.base_twice) // (
-                        side1.unit or side2.unit or 1
+                    own = (side2.base_twice - scale * side1.base_twice) // (
+                        scale * side1.unit or side2.unit or 1
                     )
                     floor = max(side1.delta0, side2.delta0 - offset)
                     for delta_max in (floor - 1, floor, floor + 7, floor + 90, floor + 400):
@@ -699,15 +740,15 @@ def test_overlap_listing_matches_the_scan():
 )
 def test_overlap_listing_counts_passing_deficiencies(p, e, et, delta_max, count):
     # the listing alone, with no memo: odd p has the one same-lattice class
-    ((side1, side2, offset),) = _relation_classes(p, e, et)
-    classes, _ = _overlap_classes(side1, side2, offset, delta_max, _value_offset(side1, side2))
+    ((side1, side2, offset, scale),) = _relation_classes(p, e, et)
+    classes, _ = _overlap_classes(side1, side2, offset, delta_max, _value_offset(side1, side2, scale))
     assert sum(map(len, classes)) == count
 
 
 def test_overlap_listing_of_the_mixed_search():
     # one deficiency of 8 185 passes at (2, 8, 7, 8220, mixed), one value wide
-    side1, side2 = _Side(2, 8, 2, 2), _Side(2, 7, 1, 1)
-    classes, width = _overlap_classes(side1, side2, -1, 8220, _value_offset(side1, side2))
+    side1, side2 = _Side(2, 8, 2), _Side(2, 7, 1)
+    classes, width = _overlap_classes(side1, side2, -1, 8220, _value_offset(side1, side2, 2))
     assert (list(merge(*classes)), width) == ([8220], 1)
 
 
@@ -732,8 +773,8 @@ def test_listed_windows_are_checked_against_the_envelopes():
     # each window is recomputed from the envelopes at its deficiency: a listed
     # deficiency whose envelopes miss, or a summed width the windows do not
     # add up to, is a broken listing, not an empty one
-    ((side1, side2, offset),) = _relation_classes(3, 5, 4)
-    off = _value_offset(side1, side2)
+    ((side1, side2, offset, scale),) = _relation_classes(3, 5, 4)
+    off = _value_offset(side1, side2, scale)
     classes, width = _overlap_classes(side1, side2, offset, 350, off)
     assert len(_search_class(side1, side2, offset, off, classes, width, RELATION_SAME)) == 7205
     listed = set(merge(*classes))
@@ -786,8 +827,8 @@ def test_pair_count_is_capped_before_the_pairs_are_built():
     # n (n - 1) / 2 on a shared side; past the budget the class is refused
     assert PAIR_LIMIT == 10**5
     for e, et, dmax, total in ((5, 4, 350, 7205), (4, 4, 60, 13256)):
-        side1, side2, offset = next(_relation_classes(3, e, et))
-        off = _value_offset(side1, side2)
+        side1, side2, offset, scale = next(_relation_classes(3, e, et))
+        off = _value_offset(side1, side2, scale)
         listed = _overlap_classes(side1, side2, offset, dmax, off)
         pairs = _search_class(side1, side2, offset, off, *listed, RELATION_SAME)
         assert len(pairs) == total
@@ -807,10 +848,10 @@ def _search_broken(how: str) -> str:
         mu = mu_of(self, units)
         return mu + 1 if len(self.floors) == 4 else mu
 
-    def shifted_offset(side1, side2):
+    def shifted_offset(side1, side2, scale):
         # side 2's values line up with side 1's one unit off: each side's
         # groups keep their own mu_0, but the two no longer agree
-        off = value_offset(side1, side2)
+        off = value_offset(side1, side2, scale)
         return None if off is None else off + 1
 
     def changed_group(self, t):
@@ -866,18 +907,38 @@ def test_search_check_fires_under_optimized_interpreter():
     assert proc.stdout == "True\n" * len(BROKEN_SEARCHES), proc.stderr
 
 
-def test_mu_of_checks_the_scale(monkeypatch):
-    # values of a scale-2 side are even in units of 2; a unit of 1 breaks that
-    side = _Side(2, 3, 2, 2)
-    assert side.mu_of(1) == 8
-    monkeypatch.setattr(side, "unit", 1)
-    with pytest.raises(VerificationError, match="weighted value 1 is not a multiple of 2"):
-        side.mu_of(1)
+def test_search_names_a_bad_exponent():
+    # e is checked before e_tilde, so the error names the argument at fault
+    for e, et in ((0, 0), (-3, 1)):
+        with pytest.raises(InputError, match=f"^e must be >= 1, got {e}$"):
+            search_counterexamples(2, e, et, 5)
+    with pytest.raises(InputError, match=r"^e_tilde 3 outside \[1, 2\]$"):
+        search_counterexamples(2, 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "first, partner, args", [("2:1,1", "2:3", (2, 2, 1, 60)), ("2:2,1,1", "2:1,3", (2, 3, 2, 60))]
+)
+def test_search_leaves_out_the_mixed_class_read_backwards(first, partner, args):
+    # the exponent-2^e group with r_e = 1 and a partner of smaller exponent
+    # with r_e >= 2 and deficiency one more: both have large invariants and
+    # the oracle finds one genus set, but no relation class of the search
+    # holds the pair, so the search does not list it
+    g1, g2 = parse_group(first), parse_group(partner)
+    assert (g1.e, g2.e) == args[1:3] and (g1.r[-1], g2.delta - g1.delta) == (1, 1) and g2.r[-1] >= 2
+    assert has_large_invariants(g1) and has_large_invariants(g2)
+    top = 250
+    genera = [
+        {g for v in oracle_reduced_spectrum(G, HalfInt.of(top)) if (g := 1 + G.p_delta * v.twice // 2) <= top}
+        for G in (g1, g2)
+    ]
+    assert genera[0] == genera[1] and len(genera[0]) > 2
+    assert (g1, g2) not in {(q.g1, q.g2) for q in search_counterexamples(*args)}
 
 
 def test_value_offset_checks_the_units():
     with pytest.raises(VerificationError, match="search sides count in units 2 and 1"):
-        _value_offset(_Side(3, 3, 1, 1), _Side(2, 3, 2, 1))
+        _value_offset(_Side(3, 3, 1), _Side(2, 3, 2), 1)
 
 
 def test_search_checks_each_matched_value_once(monkeypatch):
