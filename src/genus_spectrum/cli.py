@@ -2,25 +2,24 @@
 
 Thin adapters only: every verb parses its arguments, calls one library
 operation, and returns the payload and the text lines; `run` prints the one
-asked for.  Exit codes: 0 success, 1 domain error or out of memory, 2 usage
-error.
+asked for.  Each verb imports the engines it calls, so a cold start loads
+those alone.  Exit codes: 0 success, 1 domain error or out of memory, 2
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
-from . import conjecture, group, mainline, mingenus, signature, spectrum
 from .errors import GenusSpectrumError, _parse_ints
-from .halfint import HalfInt, twice_text
 
 
 def _cmd_invariants(args):
+    from . import group
     G = group.parse_group(args.group)
     inv = group.invariants(G)
     # p^delta and |G| may have millions of digits, and str() is quadratic in them
@@ -52,6 +51,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_mu0(args):
+    from . import group, mingenus
     G = group.parse_group(args.group)
     report = mingenus.mu0(G)
     genus = str(report.minimum_genus)
@@ -85,6 +85,7 @@ def _cmd_mu0(args):
 
 
 def _cmd_mu0plus(args):
+    from . import group, signature, spectrum
     G = group.parse_group(args.group)
     value = spectrum.mu0_plus(G)
     genus = str(signature.genus_of(G.p_delta, value))
@@ -98,6 +99,8 @@ def _cmd_mu0plus(args):
 
 
 def _cmd_spectrum(args):
+    from . import group, spectrum
+    from .halfint import twice_text
     G = group.parse_group(args.group)
     desc = spectrum.full_spectrum(G)
     view = spectrum.genus_view(G, desc)
@@ -127,6 +130,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_oracle(args):
+    from . import group, spectrum
+    from .halfint import HalfInt
     G = group.parse_group(args.group)
     bound = HalfInt.parse(args.bound)
     values = [str(v) for v in spectrum.oracle_reduced_spectrum(G, bound)]
@@ -136,6 +141,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_classify(args):
+    from . import group, spectrum
     G = group.parse_group(args.group)
     cls = spectrum.classify_small(G)
     payload = {"group": G.encode(), "class": cls.value}
@@ -143,6 +149,7 @@ def _cmd_classify(args):
 
 
 def _cmd_admissible(args):
+    from . import group, signature
     G = group.parse_group(args.group)
     d = signature.parse_datum(args.datum)
     ok = signature.is_admissible(G, d)
@@ -163,6 +170,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_mainline(args):
+    from . import mainline
     seq = _parse_ints(args.sequence.split(","), "sequence", args.sequence)
     profile = mainline.mainline_profile(args.p, seq)
     hull = mainline.hull(seq)
@@ -182,6 +190,7 @@ def _cmd_mainline(args):
 
 
 def _cmd_construct(args):
+    from . import spectrum
     G = spectrum.group_for_spectrum(args.p, args.e, args.m)
     desc = spectrum.closed_form_spectrum(G)
     payload = {
@@ -200,8 +209,15 @@ def _cmd_construct(args):
 
 
 def _cmd_search_talu(args):
+    from . import conjecture
+    # --relation's names, each with the library relation it selects
+    relation = {
+        "same-lattice": conjecture.RELATION_SAME,
+        "p2-mixed": conjecture.RELATION_MIXED,
+        "all": None,
+    }[args.relation]
     pairs = conjecture.search_counterexamples(
-        args.p, args.e, args.e_tilde, args.delta_max, relation=args.relations[args.relation]
+        args.p, args.e, args.e_tilde, args.delta_max, relation=relation
     )
     # with 7 205 and 8 308 pairs the unused format took a sixth to a third
     # of the search's time, so it is not built
@@ -268,18 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
 
     sp = add("search-talu", _cmd_search_talu, help="equal-spectrum pairs of non-isomorphic groups")
-    # --relation's names, each with the library relation it selects
-    relations = {
-        "same-lattice": conjecture.RELATION_SAME,
-        "p2-mixed": conjecture.RELATION_MIXED,
-        "all": None,
-    }
-    sp.set_defaults(relations=relations)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--e-tilde", type=int, required=True)
     sp.add_argument("--delta-max", type=int, required=True)
-    sp.add_argument("--relation", choices=relations, default="all")
+    sp.add_argument("--relation", choices=("same-lattice", "p2-mixed", "all"), default="all")
     return parser
 
 
@@ -290,7 +299,10 @@ def run(argv: Sequence[str]) -> int:
     except GenusSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload) if args.format == "json" else "\n".join(text))
+    if args.format == "json":
+        import json
+        text = [json.dumps(payload)]
+    print("\n".join(text))
     return 0
 
 

@@ -214,6 +214,8 @@ def kulkarni_n(p_delta: int, epsilon: int) -> int:
 
 @dataclass(frozen=True)
 class GroupInvariants:
+    """The numeric invariants of a group: s, e', delta, epsilon, N and log_p |G|."""
+
     s: tuple[int, ...]
     e_prime: int
     delta: int

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import accumulate, compress
 from operator import mul, neg, sub
-from typing import Callable
 
 from .errors import InputError, OutOfRangeError, VerificationError, _as_int, _int_in, _naturals
 

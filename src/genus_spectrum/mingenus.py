@@ -186,6 +186,8 @@ def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:
 
 @dataclass(frozen=True)
 class MinGenusReport:
+    """The reduced minimum genus mu_0 of a group, with its blocks and attaining data."""
+
     mu0: HalfInt
     minimum_genus: int
     index_set: IndexSet

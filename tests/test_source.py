@@ -1,14 +1,21 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import genus_spectrum
 
 PACKAGE = Path(genus_spectrum.__file__).resolve().parent
+CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
 
 
 def test_public_names_are_the_package_imports():
-    # __all__ is read off the imports of __init__, so no second list is kept
+    # __all__ is read off the name->module table, so no second list is kept
     # in step: the exported names are sorted, public, no submodule, each one
     # held by a submodule too, and exactly what a star import binds
     names = genus_spectrum.__all__
@@ -21,6 +28,82 @@ def test_public_names_are_the_package_imports():
     star: dict = {}
     exec("from genus_spectrum import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def _loaded_after(code: str, *args: str) -> set[str]:
+    # the modules a fresh interpreter holds once `code` has run with
+    # sys.argv[1:] == args.  `site` is off (-S): it may load modules of its
+    # own, such as typing through a .pth file.  The child imports the same
+    # copy of the package as this test
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\nimport sys; print(*sorted(sys.modules))", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_engine():
+    # each public name and engine submodule is imported on first use
+    loaded = _loaded_after("import genus_spectrum")
+    assert sorted(m for m in loaded if m.startswith("genus_spectrum")) == ["genus_spectrum"]
+    assert "typing" not in loaded
+    loaded = _loaded_after("import genus_spectrum\ngenus_spectrum.spectrum.full_spectrum")
+    assert {"genus_spectrum.spectrum", "genus_spectrum.mingenus"} <= loaded
+    assert "genus_spectrum.conjecture" not in loaded
+
+
+def test_lazy_names_behave_as_module_attributes():
+    assert set(genus_spectrum.__all__) <= set(dir(genus_spectrum))
+    assert genus_spectrum.spectrum.full_spectrum is genus_spectrum.full_spectrum
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        genus_spectrum.no_such_name
+    with pytest.raises(ImportError):
+        exec("from genus_spectrum import no_such_name", {})
+
+
+def test_threads_racing_to_first_loads_get_the_same_values():
+    # the README calls the library safe for concurrent use: threads that race
+    # to the first lookup of every name each get the submodule's own value
+    code = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import genus_spectrum as gs
+got = []
+threads = [threading.Thread(target=lambda: got.append([getattr(gs, n) for n in gs.__all__]))
+           for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+want = [getattr(sys.modules[f"genus_spectrum.{gs._HOMES[n]}"], n) for n in gs.__all__]
+if any(t.is_alive() for t in threads) or len(got) != 8:
+    raise SystemExit("a thread did not finish")
+if any(a is not b for values in got for a, b in zip(values, want)):
+    raise SystemExit("a thread got another value")
+"""
+    for _ in range(5):
+        _loaded_after(code)
+
+
+def test_each_verb_loads_only_what_it_runs():
+    # start-up is most of a light verb's wall time, so each verb imports the
+    # engines it calls and no more; json is for the JSON format alone
+    run = "import sys\nfrom genus_spectrum import cli\ncli.run(sys.argv[1:])"
+    engines = {f"genus_spectrum.{m}" for m in ("spectrum", "mingenus", "signature", "conjecture")}
+    for case in json.loads(CLI_EXPECTED.read_text(encoding="utf-8")):
+        argv = case["argv"]
+        loaded = _loaded_after(run, *argv)
+        assert ("genus_spectrum.conjecture" in loaded) == (argv[0] == "search-talu"), argv
+        if argv[0] in ("invariants", "mainline"):
+            assert loaded.isdisjoint(engines), argv
+        if "json" not in argv:
+            assert "json" not in loaded, argv
+        assert "typing" not in loaded, argv
 
 
 def test_no_assert_statements():
