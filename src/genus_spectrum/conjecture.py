@@ -61,8 +61,8 @@ from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prim
 from .group import is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
-from .spectrum import closed_form_spectrum, full_spectrum, genus_view
-from .spectrum import _progression_data, has_large_invariants, reduced_min_large
+from .spectrum import closed_form_spectrum, full_spectrum, genus_view, has_large_invariants
+from .spectrum import _large_test, _twice_min_reader, reduced_min_large
 
 RELATION_SAME = "equal_spectrum_same_lattice"
 RELATION_MIXED = "equal_spectrum_p2_mixed"
@@ -166,13 +166,19 @@ class CounterexamplePair:
         }
 
 
+def _floor_group(p: int, e: int, top_floor: int) -> AbelianPGroup:
+    """The group of a search side's floor invariants: p - 1 below the top."""
+    return AbelianPGroup(p, [p - 1] * (e - 1) + [top_floor])
+
+
 class _Side:
     """One exponent class of the search: floor invariants plus free coins.
 
     Writing r_i = floor_i + t_i, the group is determined by the free vector
-    t >= 0.  The floor group (r = floors) is the home of the base values: its
-    deficiency delta0 and its doubled reduced minimum base_twice.  A free
-    vector adds sum(i t_i) to the deficiency and sum(c_i t_i) to twice mu_0,
+    t >= 0.  The floor group (r = floors, `_floor_group`) is the home of the
+    base values: its deficiency delta0, its doubled reduced minimum
+    base_twice and the epsilon every group of the side has.  A free vector
+    adds sum(i t_i) to the deficiency and sum(c_i t_i) to twice mu_0,
     with c_i = p^e - p^{e-i}; a relation class's mu_0 scale is applied by
     `_value_offset` alone.  For p = 2 a top floor of 1 pins r_e = 1, so coin
     e is left out.  The least and the greatest value at each weight are
@@ -184,13 +190,13 @@ class _Side:
     meet it (`_counts`); the others have no child to keep.
     """
 
-    def __init__(self, p: int, e: int, top_floor: int):
-        # p and the floors as the floor group's build checked them
-        floor_group = AbelianPGroup(p, [p - 1] * (e - 1) + [top_floor])
-        self.p, self.floors = floor_group.p, floor_group.r
-        self.delta0 = floor_group.delta
+    def __init__(self, floor_group: AbelianPGroup):
+        # p and the floors as the build of `_floor_group` checked them
+        p, e = floor_group.p, floor_group.e
+        self.p, self.floors = p, floor_group.r
+        self.delta0, self.epsilon = floor_group.delta, floor_group.epsilon
         self.base_twice = reduced_min_large(floor_group).twice
-        pinned = p == 2 and top_floor == 1
+        pinned = p == 2 and floor_group.r[-1] == 1
         values = period_weights(p, e)[: e - 1 if pinned else e]
         # every free value is a multiple of unit (0 without coins), so the
         # envelopes, windows and memo count in units: p - 1 times fewer bits
@@ -492,25 +498,38 @@ def _overlap_classes(
     return classes, width
 
 
-def _checked_progression(
-    gs: list[AbelianPGroup], delta: int, mu: HalfInt, p_delta: int
-) -> tuple[int, int]:
-    """The genus progression of the groups gs, which a witness walk found at
-    deficiency delta and reduced minimum mu: each must have large
-    invariants, that deficiency and that minimum, and all one epsilon, or
-    VerificationError is raised.  p_delta is p^delta."""
-    epsilon = gs[0].epsilon
-    expected = (delta, epsilon, mu.twice)
-    for g in gs:
-        found = _progression_data(g)
-        if found is None:
+def _checked_groups(side: _Side, wanted: int, delta: int) -> tuple:
+    """(N, p^delta, rows, by_value) of the groups at deficiency delta whose
+    values have their bits in `wanted`, after a `reach` there: rows holds
+    (group, value, mu_0) in ascending r, by_value maps a value to (mu_0, its
+    groups, the data they are checked against).  Each group, built by
+    `group_of`, must have large invariants, the deficiency delta, the side's
+    epsilon, p and e and its value's mu_0 (one `mu_of` per value), or
+    VerificationError is raised.  The floors, p^e and the weights are read
+    once per pass, and p^delta and N once, off the checked groups.
+    """
+    p, e, epsilon = side.p, len(side.floors), side.epsilon
+    large, twice_min = _large_test(p), _twice_min_reader(p, e)
+    group_of, mu_of = side.group_of, side.mu_of
+    rows = []
+    by_value: dict[int, tuple] = {}
+    for y, t in side.witnesses(wanted):
+        g, got = group_of(t), by_value.get(y)
+        if got is None:
+            mu = mu_of(y)
+            got = by_value[y] = mu, [], (delta, epsilon, mu.twice, p, e)
+        r = g.r
+        if not large(r):
             raise VerificationError(f"search group {g} lacks large invariants")
-        if found != expected:
+        if (g.delta, g.epsilon, twice_min(r), g.p, len(r)) != got[2]:
             raise VerificationError(
-                f"search group {g} does not have deficiency {delta}, mu_0 = {mu} "
-                f"and epsilon = {epsilon}"
+                f"search group {g} does not have deficiency {delta}, mu_0 = {got[0]} "
+                f"and epsilon = {epsilon} at exponent {p}^{e}"
             )
-    return genus_of(p_delta, mu), kulkarni_n(p_delta, epsilon)
+        got[1].append(g)
+        rows.append((g, y, got[0]))
+    p_delta = rows[0][0].p_delta
+    return kulkarni_n(p_delta, epsilon), p_delta, rows, by_value
 
 
 def _search_class(
@@ -524,7 +543,8 @@ def _search_class(
     budget: int = PAIR_LIMIT,
 ) -> list[CounterexamplePair]:
     """The pairs of one relation class, from its `_value_offset` and
-    `_overlap_classes`, at most `budget` of them.
+    `_overlap_classes`, at most `budget` of them, sorted by (delta, g1.r,
+    g2.r).
 
     The deficiencies of all residue classes are taken in ascending order, and
     each window is recomputed from the two envelopes at its deficiency: a
@@ -532,20 +552,16 @@ def _search_class(
     sum to `width`, fail loudly.  On each window both sides reach values,
     and the witness walks recover the groups behind the values both reach.
 
-    Each value both reach is checked once, before its pairs are built: its
-    pair count joins a running total, and past `budget` OutOfRangeError is
-    raised; each group behind it is checked against the value's deficiency
-    and mu_0 (`_checked_progression`), and the two sides' genus
-    progressions must be equal, or VerificationError is raised.
+    Per deficiency, each side makes one checked pass (`_checked_groups`):
+    per group, large invariants, the deficiency, the side's epsilon and the
+    value's mu_0; p^delta and N = p^delta / epsilon once.  Per value both
+    reach, the pair count joins a running total before any pair is built,
+    and past `budget` OutOfRangeError is raised; and the two sides' genus
+    1 + p^delta mu_0 and step N must be equal, or VerificationError is
+    raised.  The pairs are then built in side 1's ascending r, each with
+    side 2's groups of its value in ascending r.
     """
     shared = side1 is side2
-
-    def groups(side: _Side, wanted: int) -> dict[int, list]:
-        by_value: dict[int, list[AbelianPGroup]] = {}
-        for y, t in side.witnesses(wanted):
-            by_value.setdefault(y, []).append(side.group_of(t))
-        return by_value
-
     pairs: list[CounterexamplePair] = []
     for delta1 in merge(*classes):
         delta2 = delta1 + delta_offset
@@ -562,29 +578,23 @@ def _search_class(
             continue
 
         # the witness walks return the matched values and no others
-        groups1 = groups(side1, matched)
-        groups2 = groups1 if shared else groups(side2, matched)
-        # p^delta of each side, read off one of its groups, which
-        # _checked_progression then checks for this deficiency
-        pd1 = next(iter(groups1.values()))[0].p_delta
-        pd2 = pd1 if shared else next(iter(groups2.values()))[0].p_delta
-        for y1, gs1 in groups1.items():
-            gs2 = groups2[y1 - off]
+        n1, pd1, rows1, by1 = checked = _checked_groups(side1, matched, delta1)
+        n2, pd2, _, by2 = checked if shared else _checked_groups(side2, matched, delta2)
+        for y1, (mu1, gs1, _) in by1.items():
+            mu2, gs2, _ = by2[y1 - off]
             budget -= len(gs1) * (len(gs1) - 1) // 2 if shared else len(gs1) * len(gs2)
             if budget < 0:
                 raise OutOfRangeError(
                     f"{relation} pairs up to deficiency {delta1} take the search past its "
                     f"limit of {PAIR_LIMIT} pairs"
                 )
-            mu1, mu2 = side1.mu_of(y1), side2.mu_of(y1 - off)
-            spectrum1 = _checked_progression(gs1, delta1, mu1, pd1)
-            spectrum2 = spectrum1 if shared else _checked_progression(gs2, delta2, mu2, pd2)
-            if spectrum1 != spectrum2:
+            if not shared and (genus_of(pd1, mu1), n1) != (genus_of(pd2, mu2), n2):
                 raise VerificationError(f"search groups {gs1[0]} ~ {gs2[0]} have unequal spectra")
-            for g1 in gs1:
-                for g2 in gs2:
-                    if not shared or g1.r < g2.r:
-                        pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
+        for g1, y1, mu1 in rows1:
+            mu2, gs2, _ = by2[y1 - off]
+            for g2 in gs2:
+                if not shared or g1.r < g2.r:
+                    pairs.append(CounterexamplePair(g1, g2, delta1, delta2, mu1, mu2, relation))
     if width:
         raise VerificationError(f"{relation} windows miss their summed width by {width}")
     return pairs
@@ -609,27 +619,30 @@ def search_counterexamples(
     backwards is not searched, so for e > e_tilde pairs such as 2:1,1 ~ 2:3
     (both of spectrum 1 + 2 N_0, deficiencies 1 and 2) are missing.  The
     result is exhaustive in these classes within the bound and sorted by
-    deficiency.  It
-    lists every pair, so where several groups of each exponent share one
-    deficiency and one mu_0 its size is the product of their counts, and it
-    grows quickly with delta_max.
+    (delta, g1.r, g2.r), the order each class lists.  It lists every pair,
+    so where several groups of each exponent share one deficiency and one
+    mu_0 its size is the product of their counts, and it grows quickly with
+    delta_max.
 
-    Before any reach set is built, the search lists the deficiencies whose
-    envelopes overlap in every class it runs and sums their window widths,
-    the widths of the reach bitsets and of the memo's root keys, in closed
-    form per residue class.  Above SEARCH_WIDTH_LIMIT = 10^9 units it raises
-    OutOfRangeError.  The p = 7 series search up to its deficiency 3 725
-    sums 1.9 * 10^8 units; the p = 11 one, 3.35 * 10^14.  A class whose
-    two sides are one side with at most one coin has one group per
-    deficiency, so it cannot pair and is not searched.
+    A class whose sides' floor groups start past delta_max lists nothing and
+    is dropped before its sides are built.  Before any reach set is built,
+    the search lists the deficiencies whose envelopes overlap in every
+    class it runs and sums their window widths, the widths of the reach
+    bitsets and of the memo's root keys, in closed form per residue class.
+    Above SEARCH_WIDTH_LIMIT = 10^9 units it raises OutOfRangeError.  The
+    p = 7 series search up to its deficiency 3 725 sums 1.9 * 10^8 units;
+    the p = 11 one, 3.35 * 10^14.  A class whose two sides are one side
+    with at most one coin has one group per deficiency, so it cannot pair
+    and is not searched.
 
     The pairs are counted per value both sides reach, before any is built,
     and past PAIR_LIMIT = 10^5 pairs in all the search raises
     OutOfRangeError; no keyword lifts either limit.  (2, 5, 4) lists 8 308
-    pairs up to deficiency 100 and 242 438 up to 150.  The same values
-    carry the spectrum check: every group behind a value is checked once
-    against its deficiency and mu_0, and the two sides' genus progressions
-    are compared once per value, not once per pair.
+    pairs up to deficiency 100 and 242 438 up to 150.  The search checks
+    itself as it goes (`_search_class`): per group, large invariants and
+    the deficiency, epsilon and mu_0 of its side and value; per value, that
+    the two sides' genus 1 + p^delta mu_0 and step N agree, with p^delta
+    and N worked out once per side and deficiency.
     """
     p, e = _prime(p), _int_in(e, "e", 1)
     e_tilde, delta_max = _int_in(e_tilde, "e_tilde", 1, e), _as_int(delta_max)
@@ -649,11 +662,21 @@ def search_counterexamples(
         (RELATION_MIXED, 2, 1, 2, -1),
     ] if p == 2 else [(RELATION_SAME, p - 2, p - 2, 1, 0)]
     table = [row for row in table if relation in (None, row[0])]
-    # one side per (exponent, top floor), shared by the classes that read it
+    # one floor group and one side per (exponent, top floor), shared by the
+    # classes that read it
     keys = dict.fromkeys(key for _, t1, t2, _, _ in table for key in ((e, t1), (e_tilde, t2)))
-    sides = {key: _Side(p, *key) for key in keys}
+    floors = {key: _floor_group(p, *key) for key in keys}
+    sides: dict[tuple[int, int], _Side] = {}
     plan = []
     for label, top1, top2, scale, offset in table:
+        # a side's deficiencies start at its floor group's, so past delta_max
+        # the class lists nothing; it is dropped before a side is built (at
+        # p = 2 a side of exponent 2^e holds e coins of up to e bits)
+        if floors[e, top1].delta > delta_max or floors[e_tilde, top2].delta > delta_max + offset:
+            continue
+        for key in (e, top1), (e_tilde, top2):
+            if key not in sides:
+                sides[key] = _Side(floors[key])
         side1, side2 = sides[e, top1], sides[e_tilde, top2]
         if side1 is side2 and len(side1.coins) <= 1:
             # one vector per weight: no two groups share a deficiency
@@ -675,5 +698,6 @@ def search_counterexamples(
     pairs: list[CounterexamplePair] = []
     for row in plan:
         pairs.extend(_search_class(*row, PAIR_LIMIT - len(pairs)))
-    pairs.sort(key=lambda q: (q.delta, q.g1.r, q.g2.r))
+    if len(plan) > 1:  # one class lists its pairs in this order already
+        pairs.sort(key=lambda q: (q.delta, q.g1.r, q.g2.r))
     return pairs

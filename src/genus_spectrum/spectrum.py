@@ -31,6 +31,7 @@ a failure raises instead of reporting a wrong stable genus.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -163,27 +164,28 @@ class SpectrumDescriptor:
 
 def has_large_invariants(G: AbelianPGroup) -> bool:
     """r_i >= p-1 for i < e and r_e >= max(p-2, 1)."""
-    p, r = G.p, G.r
-    return min(r[:-1], default=p) >= p - 1 and r[-1] >= max(p - 2, 1)
+    return _large_test(G.p)(G.r)
+
+
+def _large_test(p: int) -> Callable[[tuple[int, ...]], bool]:
+    """has_large_invariants on the invariants r of a group of prime p, with
+    the floors worked out once: the search tests many groups of one p."""
+    low, top = p - 1, max(p - 2, 1)
+    # min()'s default keyword took half the test's time
+    return lambda r: min(r[:-1] or (low,)) >= low and r[-1] >= top
 
 
 def reduced_min_large(G: AbelianPGroup) -> HalfInt:
     """Closed-form mu_0 = sigma_0 for groups with large invariants."""
-    return HalfInt(_twice_min_large(G.p, G.r))
+    return HalfInt(_twice_min_reader(G.p, G.e)(G.r))
 
 
-def _twice_min_large(p: int, r: tuple[int, ...]) -> int:
-    """2 mu_0 = -1 - p^e + sum c_i r_i, the c_i of `period_weights`."""
-    return -1 - p ** len(r) + sum(map(mul, period_weights(p, len(r)), r))
-
-
-def _progression_data(G: AbelianPGroup) -> tuple[int, int, int] | None:
-    """(delta, epsilon, 2 mu_0) of G, the data of its genus progression, or
-    None when G lacks large invariants: one call per group for the search's
-    check, each value read off G.r by its home."""
-    if not has_large_invariants(G):
-        return None
-    return G.delta, G.epsilon, _twice_min_large(G.p, G.r)
+def _twice_min_reader(p: int, e: int) -> Callable[[tuple[int, ...]], int]:
+    """r -> 2 mu_0 = -1 - p^e + sum c_i r_i, the c_i of `period_weights`, for
+    the invariants r of a group of exponent p^e with large invariants.  p^e
+    and the weights are read once, for the search's many groups of one p^e."""
+    pe, weights = p**e, period_weights(p, e)
+    return lambda r: -1 - pe + sum(map(mul, weights, r))
 
 
 def closed_form_spectrum(G: AbelianPGroup) -> SpectrumDescriptor:

@@ -41,6 +41,7 @@ from genus_spectrum import (
 from genus_spectrum import conjecture as conjecture_module
 from genus_spectrum.conjecture import (
     PAIR_LIMIT,
+    _floor_group,
     _overlap_classes,
     _search_class,
     _Side,
@@ -371,7 +372,7 @@ def test_varying_exponent_pair_refuses_a_huge_p_delta():
 
 
 def test_witness_recovery_leaves_no_reference_cycles():
-    side = _Side(3, 5, 1)
+    side = _Side(_floor_group(3, 5, 1))
     targets = []
     for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
@@ -445,7 +446,7 @@ def test_search_matches_bitset_join_reference(monkeypatch):
 def test_witnesses_return_exactly_the_wanted_values():
     # every other reachable value is wanted; the walk must return all vectors
     # of those values, in ascending order, and none of the others
-    side = _Side(3, 4, 1)
+    side = _Side(_floor_group(3, 4, 1))
     checked = 0
     for d in range(max(60 - side.delta0, 0) + 1):
         lo, hi = side._envelope(0, d)
@@ -486,7 +487,7 @@ def test_envelope_tables_match_the_closed_form():
                 assert pin == (p == 2 and top == 1)
                 floor = AbelianPGroup(p, (p - 1,) * (e - 1) + (top,))
                 for delta_max in (floor.delta - 1, floor.delta + 120):
-                    side = _Side(p, e, top)
+                    side = _Side(_floor_group(p, e, top))
                     dmax = max(delta_max - side.delta0, 0)
                     values = weights(p, e)[: e - 1 if pin else e]
                     unit = gcd(*values)
@@ -507,7 +508,7 @@ def test_side_setup_does_not_grow_with_delta_max():
     # builds at once; at the largest weight the bounds are attained by
     # explicit vectors: all coin 1, and dmax // n coins of weight n plus one
     # of weight dmax mod n
-    side = _Side(3, 5, 1)
+    side = _Side(_floor_group(3, 5, 1))
     floor = AbelianPGroup(3, (2, 2, 2, 2, 1))
     assert side.delta0 == floor.delta
     dmax = 10**12 - side.delta0
@@ -544,7 +545,7 @@ def test_count_cut_keeps_every_child(monkeypatch):
         tops = (2, 1) if p == 2 else (p - 2,)
         for e in range(1, 6):
             for top in tops:
-                side = _Side(p, e, top)
+                side = _Side(_floor_group(p, e, top))
                 n = len(side.coins)
                 roots = []
                 for d in range(81):
@@ -703,8 +704,9 @@ def _relation_classes(p, e, et):
     # search's relation table
     rows = [(2, 2, 0, 1), (1, 1, 0, 1), (2, 1, -1, 2)] if p == 2 else [(p - 2, p - 2, 0, 1)]
     for top1, top2, offset, scale in rows:
-        side1 = _Side(p, e, top1)
-        yield side1, side1 if (e, top1) == (et, top2) else _Side(p, et, top2), offset, scale
+        side1 = _Side(_floor_group(p, e, top1))
+        side2 = side1 if (e, top1) == (et, top2) else _Side(_floor_group(p, et, top2))
+        yield side1, side2, offset, scale
 
 
 def test_overlap_listing_matches_the_scan():
@@ -747,7 +749,7 @@ def test_overlap_listing_counts_passing_deficiencies(p, e, et, delta_max, count)
 
 def test_overlap_listing_of_the_mixed_search():
     # one deficiency of 8 185 passes at (2, 8, 7, 8220, mixed), one value wide
-    side1, side2 = _Side(2, 8, 2), _Side(2, 7, 1)
+    side1, side2 = _Side(_floor_group(2, 8, 2)), _Side(_floor_group(2, 7, 1))
     classes, width = _overlap_classes(side1, side2, -1, 8220, _value_offset(side1, side2, 2))
     assert (list(merge(*classes)), width) == ([8220], 1)
 
@@ -938,18 +940,23 @@ def test_search_leaves_out_the_mixed_class_read_backwards(first, partner, args):
 
 def test_value_offset_checks_the_units():
     with pytest.raises(VerificationError, match="search sides count in units 2 and 1"):
-        _value_offset(_Side(3, 3, 1), _Side(2, 3, 2), 1)
+        _value_offset(_Side(_floor_group(3, 3, 1)), _Side(_floor_group(2, 3, 2)), 1)
 
 
 def test_search_checks_each_matched_value_once(monkeypatch):
     # one _window per side and listed deficiency (the witness walk reuses the
-    # root reach built), one _progression_data per witness, one
-    # reduced_min_large per side's floor group, and no per-group
+    # root reach built); one checked pass per side and matched deficiency,
+    # which reads the floors, p^e and the weights, p^delta and N once, and
+    # checks each witness's group; one mu_of per value and side; one
+    # reduced_min_large per side's floor group; no per-group
     # genus_progression
-    windows, minima, checked, returned = [], [], [], []
-    window, witnesses = _Side._window, _Side.witnesses
+    windows, minima, returned, passes, readers, checked, mus, steps = ([] for _ in range(8))
+    window, witnesses, mu_of = _Side._window, _Side.witnesses, _Side.mu_of
     reduced_min = conjecture_module.reduced_min_large
-    progression_data = conjecture_module._progression_data
+    checked_groups = conjecture_module._checked_groups
+    large_test = conjecture_module._large_test
+    twice_min_reader = conjecture_module._twice_min_reader
+    kulkarni_n = conjecture_module.kulkarni_n
 
     def counting_window(self, key):
         windows.append(key)
@@ -960,27 +967,128 @@ def test_search_checks_each_matched_value_once(monkeypatch):
         returned.append(len(out))
         return out
 
+    def counting_pass(side, wanted, delta):
+        passes.append((id(side), delta))
+        return checked_groups(side, wanted, delta)
+
+    def counting_reader(factory, name):
+        def make(*args):
+            readers.append(name)
+            read = factory(*args)
+
+            def counted(r):
+                checked.append((name, r))
+                return read(r)
+
+            return counted
+
+        return make
+
+    def counting_mu(self, units):
+        mus.append((len(passes), units))
+        return mu_of(self, units)
+
     def counting_min(G):
         minima.append(G)
         return reduced_min(G)
 
-    def counting_data(G):
-        checked.append(G)
-        return progression_data(G)
+    def counting_n(p_delta, epsilon):
+        steps.append(p_delta)
+        return kulkarni_n(p_delta, epsilon)
 
     def no_progression(G):
         raise AssertionError("genus_progression ran per group")
 
     monkeypatch.setattr(_Side, "_window", counting_window)
     monkeypatch.setattr(_Side, "witnesses", counting_witnesses)
+    monkeypatch.setattr(_Side, "mu_of", counting_mu)
+    monkeypatch.setattr(conjecture_module, "_checked_groups", counting_pass)
+    monkeypatch.setattr(conjecture_module, "_large_test", counting_reader(large_test, "large"))
+    monkeypatch.setattr(
+        conjecture_module, "_twice_min_reader", counting_reader(twice_min_reader, "twice")
+    )
+    monkeypatch.setattr(conjecture_module, "kulkarni_n", counting_n)
     monkeypatch.setattr(conjecture_module, "reduced_min_large", counting_min)
-    monkeypatch.setattr(conjecture_module, "_progression_data", counting_data)
     monkeypatch.setattr(conjecture_module, "genus_progression", no_progression)
     assert len(search_counterexamples(3, 5, 4, 350)) == 7205
     assert len(windows) == 2 * 164 == 328
-    assert sum(returned) == 11315
-    assert len(checked) == 11315
+    assert len(passes) == len(set(passes)) == 2 * 144 == 288
+    assert sum(returned) == 11315 and len(returned) == 288
+    assert Counter(readers) == {"large": 288, "twice": 288}
+    assert Counter(name for name, _ in checked) == {"large": 11315, "twice": 11315}
+    assert len(mus) == len(set(mus)) == 8396
+    assert len(steps) == 288
     assert len(minima) == 2
+
+
+def test_search_lists_pairs_by_deficiency_then_invariants():
+    # each class lists its pairs in (delta, g1.r, g2.r) order, and the p = 2
+    # classes' lists are merged into it; no two pairs share the key.  At
+    # (2, 5, 4, 100) two of the three classes list pairs, interleaved
+    for args, classes in (((3, 5, 4, 350), 1), ((2, 5, 4, 100), 2)):
+        pairs = search_counterexamples(*args)
+        keys = [(q.delta, q.g1.r, q.g2.r) for q in pairs]
+        assert all(a < b for a, b in zip(keys, keys[1:])), args
+        of = [(q.relation, q.g1.epsilon, q.g2.epsilon) for q in pairs]
+        assert len(set(of)) == classes
+        assert (sum(a != b for a, b in zip(of, of[1:])) > 1) == (classes > 1)
+
+
+def test_deep_search_lists_nothing_under_small_caps():
+    # at p = 2, e = 10^5 every class's floor deficiency is past 5, so no side
+    # is built: a side's set-up alone would take gigabytes
+    code = (
+        "import sys\n"
+        "from genus_spectrum import search_counterexamples\n"
+        "from genus_spectrum.cli import run\n"
+        "print(search_counterexamples(2, 100000, 1, 5))\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    argv = ["search-talu", "--p", "2", "--e", "100000", "--e-tilde", "1", "--delta-max", "5"]
+
+    def caps():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**8, 2 * 10**8))
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=caps,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "[]\n0 pair(s) with deficiency <= 5\n"
+
+
+def test_classes_past_delta_max_are_dropped_before_their_sides(monkeypatch):
+    # a class is dropped when delta_max is below its first side's floor
+    # deficiency, or delta_max plus its offset below its second side's:
+    # there its listing has no deficiency to try
+    for p in (2, 3, 5):
+        for e in range(1, 5):
+            for et in range(1, e + 1):
+                for side1, side2, offset, scale in _relation_classes(p, e, et):
+                    floor = max(side1.delta0, side2.delta0 - offset)
+                    off = _value_offset(side1, side2, scale) or 0
+                    for delta_max in (floor - 2, floor - 1):
+                        classes, _ = _overlap_classes(side1, side2, offset, delta_max, off)
+                        assert classes == [], (p, e, et, offset, delta_max)
+    built = []
+    init = _Side.__init__
+
+    def recording_init(self, floor_group):
+        built.append((floor_group.e, floor_group.r[-1]))
+        init(self, floor_group)
+
+    monkeypatch.setattr(_Side, "__init__", recording_init)
+    # side (6, 2) starts at deficiency 21, side (6, 1) at 15 and the e_tilde
+    # = 1 sides at 1 and 0.  Up to 17 only the class of the two pinned
+    # sides is kept, and below 15 none
+    assert search_counterexamples(2, 6, 1, 17) == []
+    assert built == [(6, 1), (1, 1)]
+    built.clear()
+    assert search_counterexamples(2, 6, 1, 14) == [] and built == []
 
 
 # SHA-256 of each search's pairs as (g1.r, g2.r, delta1, delta2, 2 mu1, 2 mu2,
