@@ -22,7 +22,7 @@ _HOMES = {
             genus_progression rho search_counterexamples spectra_equal varying_exponent_pair""",
         "errors": """GenusSpectrumError InputError InvalidInvariantsError InvalidPrimeError
             OutOfFamilyError OutOfRangeError UnsupportedError VerificationError""",
-        "group": "AbelianPGroup GroupInvariants e_prime invariants is_prime new_group parse_group",
+        "group": "AbelianPGroup GroupInvariants e_prime invariants is_prime parse_group",
         "halfint": "HalfInt",
         "mainline": """INFINITY MainlineProfile envelope gap_norm hull is_mainline
             mainline_profile wp_eval""",

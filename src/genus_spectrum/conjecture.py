@@ -51,13 +51,13 @@ from .errors import (
     InputError,
     InvalidInvariantsError,
     OutOfFamilyError,
-    OutOfRangeError,
     UnsupportedError,
     VerificationError,
     _as_int,
     _int_in,
+    _within,
 )
-from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
+from .group import AbelianPGroup, _power_exponent, _prime
 from .group import is_prime, kulkarni_n
 from .halfint import HalfInt
 from .signature import genus_of, period_weights
@@ -130,8 +130,7 @@ def varying_exponent_pair(p: int) -> tuple[AbelianPGroup, AbelianPGroup]:
     if not is_prime(p) or p == 2:
         raise UnsupportedError(f"the varying-exponent series needs an odd prime, got {p}")
     delta = (2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12) // 2
-    if _may_pass_power_bits(p, delta):
-        raise _power_bits_error(f"p^delta = {p}^{delta} of the varying-exponent pair")
+    _power_exponent(p, delta, "p^delta", "the varying-exponent pair")
     r = (p - 1,) * p + (p, p**3 + p**2 - 2)
     if p == 3:
         rt: tuple[int, ...] = (177, 3, 2, 1)
@@ -555,13 +554,13 @@ def _search_class(
     Per deficiency, each side makes one checked pass (`_checked_groups`):
     per group, large invariants, the deficiency, the side's epsilon and the
     value's mu_0; p^delta and N = p^delta / epsilon once.  Per value both
-    reach, the pair count joins a running total before any pair is built,
-    and past `budget` OutOfRangeError is raised; and the two sides' genus
-    1 + p^delta mu_0 and step N must be equal, or VerificationError is
-    raised.  The pairs are then built in side 1's ascending r, each with
-    side 2's groups of its value in ascending r.
+    reach, the two sides' genus 1 + p^delta mu_0 and step N must be equal,
+    or VerificationError is raised.  The deficiency's pair count then joins
+    a running total, and past `budget` OutOfRangeError is raised before any
+    of its pairs is built.  The pairs are built in side 1's ascending r,
+    each with side 2's groups of its value in ascending r.
     """
-    shared = side1 is side2
+    shared, count = side1 is side2, 0
     pairs: list[CounterexamplePair] = []
     for delta1 in merge(*classes):
         delta2 = delta1 + delta_offset
@@ -582,14 +581,11 @@ def _search_class(
         n2, pd2, _, by2 = checked if shared else _checked_groups(side2, matched, delta2)
         for y1, (mu1, gs1, _) in by1.items():
             mu2, gs2, _ = by2[y1 - off]
-            budget -= len(gs1) * (len(gs1) - 1) // 2 if shared else len(gs1) * len(gs2)
-            if budget < 0:
-                raise OutOfRangeError(
-                    f"{relation} pairs up to deficiency {delta1} take the search past its "
-                    f"limit of {PAIR_LIMIT} pairs"
-                )
+            count += len(gs1) * (len(gs1) - 1) // 2 if shared else len(gs1) * len(gs2)
             if not shared and (genus_of(pd1, mu1), n1) != (genus_of(pd2, mu2), n2):
                 raise VerificationError(f"search groups {gs1[0]} ~ {gs2[0]} have unequal spectra")
+        text = "{} pairs up to deficiency {} take the search past its limit of {} pairs"
+        _within(count, budget, text.format, relation, delta1, PAIR_LIMIT)
         for g1, y1, mu1 in rows1:
             mu2, gs2, _ = by2[y1 - off]
             for g2 in gs2:
@@ -635,7 +631,7 @@ def search_counterexamples(
     with at most one coin has one group per deficiency, so it cannot pair
     and is not searched.
 
-    The pairs are counted per value both sides reach, before any is built,
+    The pairs are counted per deficiency, before any of its pairs is built,
     and past PAIR_LIMIT = 10^5 pairs in all the search raises
     OutOfRangeError; no keyword lifts either limit.  (2, 5, 4) lists 8 308
     pairs up to deficiency 100 and 242 438 up to 150.  The search checks
@@ -685,19 +681,17 @@ def search_counterexamples(
         if off is not None:
             listed = _overlap_classes(side1, side2, offset, delta_max, off)
             plan.append((side1, side2, offset, off, *listed, label))
+    width = sum(row[5] for row in plan)
+    _within(width, SEARCH_WIDTH_LIMIT, _width_text, plan, delta_max, width)
+
+    lists: list[list[CounterexamplePair]] = []
+    for row in plan:  # each class lists its pairs in the merge's order
+        lists.append(_search_class(*row, PAIR_LIMIT - sum(map(len, lists))))
+    return list(merge(*lists, key=lambda q: (q.delta, q.g1.r, q.g2.r)))
+
+
+def _width_text(plan: list, delta_max: int, width: int) -> str:
     # not len(r): past sys.maxsize it raises OverflowError, and delta_max is unbounded
     count = sum((r[-1] - r[0]) // r.step + 1 for row in plan for r in row[4] if r)
-    width = sum(row[5] for row in plan)
-    if width > SEARCH_WIDTH_LIMIT:
-        raise OutOfRangeError(
-            f"{count} deficiencies up to {delta_max} have overlapping envelopes, with "
-            f"windows summing to {width} units, over the search's limit of "
-            f"{SEARCH_WIDTH_LIMIT} units"
-        )
-
-    pairs: list[CounterexamplePair] = []
-    for row in plan:
-        pairs.extend(_search_class(*row, PAIR_LIMIT - len(pairs)))
-    if len(plan) > 1:  # one class lists its pairs in this order already
-        pairs.sort(key=lambda q: (q.delta, q.g1.r, q.g2.r))
-    return pairs
+    text = f"{count} deficiencies up to {delta_max} have overlapping envelopes, with windows"
+    return f"{text} summing to {width} units, over the search's limit of {SEARCH_WIDTH_LIMIT} units"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package and the one home of each input rule."""
+"""Exception types shared across the package, each input rule once and every limit's refusal."""
 
 from operator import index
 
@@ -66,6 +66,18 @@ def _naturals(entries, what: str, error=InputError) -> tuple[int, ...]:
     if min(seq) < 0:
         raise error(f"{what} must have entries >= 0, got {seq}")
     return seq
+
+
+_UNSET = object()
+
+
+def _within(estimate: int, limit: int, text, a=_UNSET, b=_UNSET, c=_UNSET, d=_UNSET, e=_UNSET):
+    """estimate, or past limit OutOfRangeError(text(*args)), args the ones of a to e given:
+    every work limit's one refusal.  Not *args: CPython does not specialise a call to a
+    function with *args, and each p^delta read makes this call."""
+    if estimate <= limit:
+        return estimate
+    raise OutOfRangeError(text(*(x for x in (a, b, c, d, e) if x is not _UNSET)))
 
 
 def _parse_ints(tokens, what: str, text: str) -> tuple[int, ...]:

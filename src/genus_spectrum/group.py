@@ -18,11 +18,11 @@ from .errors import (
     InputError,
     InvalidInvariantsError,
     InvalidPrimeError,
-    OutOfRangeError,
     VerificationError,
     _as_int,
     _naturals,
     _parse_ints,
+    _within,
 )
 
 # Most bits of p^delta and |G| the library computes, checked before the
@@ -44,8 +44,7 @@ def is_prime(n: int) -> bool:
         n = _as_int(n)
     if n <= _MR_BASES[-1]:
         return n in _MR_BASES
-    if n >= _MR_LIMIT:
-        raise OutOfRangeError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    _within(n, _MR_LIMIT - 1, "primality of {} is only decided below {}".format, n, _MR_LIMIT)
     if any(n % q == 0 for q in _MR_BASES):
         return False
     d, k = n - 1, 0
@@ -73,16 +72,18 @@ def _prime(p, error=InputError) -> int:
     return p
 
 
-def _may_pass_power_bits(p: int, k: int) -> bool:
-    """Whether p^k may pass POWER_BITS_LIMIT bits; checked before p^k is computed."""
-    # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most k * b / 64 + 1
-    # bits, exactly that many for p = 2
-    return k * (p**64 - 1).bit_length() > 64 * (POWER_BITS_LIMIT - 1)
+def _power_exponent(p: int, k: int, what: str, of=None) -> int:
+    """k, once p^k is known to have at most POWER_BITS_LIMIT bits; checked before
+    p^k is computed, and a refusal names the power what = p^k (of `of`, if given)."""
+    # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most 1 + ceil(k * b
+    # / 64) bits, exactly that many for p = 2
+    _within(1 - k * (p**64 - 1).bit_length() // -64, POWER_BITS_LIMIT, _power_text, what, p, k, of)
+    return k
 
 
-def _power_bits_error(what: str) -> OutOfRangeError:
-    """The refusal of a power, named by what, that may pass POWER_BITS_LIMIT bits."""
-    return OutOfRangeError(f"{what} may pass the limit of {POWER_BITS_LIMIT} bits")
+def _power_text(what: str, p: int, k: int, of) -> str:
+    owner = "" if of is None else f" of {of}"
+    return f"{what} = {p}^{k}{owner} may pass the limit of {POWER_BITS_LIMIT} bits"
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class AbelianPGroup:
 
     @property
     def order(self) -> int:
-        return self._power(self.log_order, "|G|")
+        return self.p ** _power_exponent(self.p, self.log_order, "|G|", self)
 
     @property
     def exponent(self) -> int:
@@ -141,13 +142,7 @@ class AbelianPGroup:
     def p_delta(self) -> int:
         """p^delta = |G| / exp(G), computed on each read: a cache would keep an
         int of that size on every group, and the search holds thousands."""
-        return self._power(self.delta, "p^delta")
-
-    def _power(self, k: int, what: str) -> int:
-        """p^k, or OutOfRangeError when it may pass POWER_BITS_LIMIT bits."""
-        if _may_pass_power_bits(self.p, k):
-            raise _power_bits_error(f"{what} = {self.p}^{k} of {self}")
-        return self.p**k
+        return self.p ** _power_exponent(self.p, self.delta, "p^delta", self)
 
     @property
     def epsilon(self) -> int:
@@ -169,10 +164,6 @@ class AbelianPGroup:
             if x > 0
         ]
         return " + ".join(parts)
-
-
-def new_group(p: int, r) -> AbelianPGroup:
-    return AbelianPGroup(p, tuple(r))
 
 
 def parse_group(text: str) -> AbelianPGroup:

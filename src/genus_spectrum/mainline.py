@@ -28,7 +28,7 @@ from functools import total_ordering
 from itertools import accumulate, compress
 from operator import mul, neg, sub
 
-from .errors import InputError, OutOfRangeError, VerificationError, _as_int, _int_in, _naturals
+from .errors import InputError, VerificationError, _as_int, _int_in, _naturals, _within
 
 # Most values mainline_profile, spectrum.full_spectrum and spectrum.
 # oracle_reduced_spectrum may mark, and most bitset bytes of is_mainline.
@@ -173,9 +173,11 @@ def _reach(coeffs, floors, lo: int, bound: int, starts) -> int:
 def _sieve_length(lo: int, hi: int, step: int, what: Callable[[], str]) -> int:
     """Count of lo, lo + step, ... <= hi; above SIEVE_LIMIT, OutOfRangeError naming what()."""
     n = max((hi - lo) // step + 1, 0)
-    if n > SIEVE_LIMIT:
-        raise OutOfRangeError(f"{what()} spans {n} values, over the limit of {SIEVE_LIMIT}")
-    return n
+    return _within(n, SIEVE_LIMIT, _spans, what, n)
+
+
+def _spans(what: Callable[[], str], n: int) -> str:
+    return f"{what()} spans {n} values, over the limit of {SIEVE_LIMIT}"
 
 
 def _marks(bits: int, lo: int, bound: int, step: int) -> str:
@@ -214,9 +216,9 @@ def is_mainline(p: int, entries, m: int) -> bool:
         return False
     if m >= wp_eval(p, _majorant(t, p - 1)):  # the envelope of the hull t
         return True
-    if (size := (m - mu) // 8 + 1) > SIEVE_LIMIT:
-        what = f"the membership test of {m} for {t} at p = {p}"
-        raise OutOfRangeError(f"{what} needs {size} bitset bytes, over the limit of {SIEVE_LIMIT}")
+    size = (m - mu) // 8 + 1
+    text = "the membership test of {} for {} at p = {} needs {} bitset bytes, over the limit of {}"
+    _within(size, SIEVE_LIMIT, text.format, m, t, p, size, SIEVE_LIMIT)
     return bool(_mainline_reach(p, t, mu, m) >> m - mu & 1)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     _as_int,
     _int_in,
 )
-from .group import AbelianPGroup, _may_pass_power_bits, _power_bits_error, _prime
+from .group import AbelianPGroup, _power_exponent, _prime
 from .group import e_prime, kulkarni_n
 from .halfint import HalfInt, twice_text
 from .mainline import _closure, _holes, _majorant, _marks, _reach, _sieve_length, wp_eval
@@ -305,9 +305,7 @@ def spectrum_bound_formula(p: int, e: int) -> int:
     """Least m accepted by group_for_spectrum, for a prime p and e >= 1.
     Where p^e may pass POWER_BITS_LIMIT bits it raises OutOfRangeError."""
     p, e = _prime(p, InvalidPrimeError), _int_in(e, "exponent index", 1, error=OutOfRangeError)
-    if _may_pass_power_bits(p, e):
-        raise _power_bits_error(f"p^e = {p}^{e}")
-    pe = p**e
+    pe = p ** _power_exponent(p, e, "p^e")
     if p == 2:
         return (e - 1) * 2 * pe + 2
     return (2 * e - 1) * pe - 2 * (pe - 1) // (p - 1) + 1

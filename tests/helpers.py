@@ -7,7 +7,10 @@ independent routes reached the same answer.
 
 from __future__ import annotations
 
+import re
 from itertools import product
+
+import pytest
 
 from genus_spectrum import (
     RELATION_MIXED,
@@ -16,6 +19,7 @@ from genus_spectrum import (
     HalfInt,
     IndexMinimum,
     MinGenusReport,
+    OutOfRangeError,
     PDatum,
     attaining_datum,
     classify_gamma_seq,
@@ -31,6 +35,11 @@ from genus_spectrum import (
     wp_eval,
 )
 from genus_spectrum.signature import genus_of
+
+
+def refused(text: str):
+    """pytest.raises for an OutOfRangeError whose message is exactly text."""
+    return pytest.raises(OutOfRangeError, match=f"^{re.escape(text)}$")
 
 
 def nonincreasing_seqs(length: int, max_entry: int, min_entry: int = 0):

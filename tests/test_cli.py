@@ -15,6 +15,7 @@ from genus_spectrum import HalfInt, mu0, oracle_reduced_spectrum, parse_group
 from genus_spectrum.cli import build_parser, run
 
 CLI_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "cli_expected.json"
+CLI_REFUSALS = Path(__file__).resolve().parent / "cli_refusals.json"
 
 
 def capture(capsys, argv):
@@ -329,9 +330,33 @@ def test_optimized_interpreter_keeps_output_and_self_checks():
     assert proc.stdout == "raised\n", proc.stderr
 
 
+def _small_caps():
+    # a refusal comes from an estimate, before any large allocation or long loop
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**8, 2 * 10**8))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
+def test_each_limit_refuses_with_its_recorded_text():
+    # one case per refusal the CLI reaches: the prime test's range, the bits
+    # of p^delta and p^e, the three sieves, the search's summed window width
+    # and its pair count.  Each exits 1 in well under a second under small caps
+    cases = json.loads(CLI_REFUSALS.read_text(encoding="utf-8"))
+    assert len(cases) == 8
+    for case in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "genus_spectrum", *case["argv"]],
+            capture_output=True,
+            timeout=60,
+            preexec_fn=_small_caps,
+        )
+        assert proc.returncode == 1, case["argv"]
+        assert proc.stdout == b"", case["argv"]
+        assert proc.stderr == case["stderr"].encode(), case["argv"]
+
+
 def test_too_many_pairs_exit_1_without_a_traceback():
     # (2, 5, 4) lists 242 438 pairs up to deficiency 150; the search counts
-    # each matched value's pairs before building them and stops past 10^5
+    # each deficiency's pairs before building them and stops past 10^5
     proc = subprocess.run(
         [sys.executable, "-m", "genus_spectrum", "search-talu", "--p", "2", "--e", "5",
          "--e-tilde", "4", "--delta-max", "300"],

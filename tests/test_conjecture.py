@@ -23,7 +23,6 @@ from genus_spectrum import (
     HalfInt,
     InputError,
     OutOfFamilyError,
-    OutOfRangeError,
     SpectrumDescriptor,
     UnsupportedError,
     VerificationError,
@@ -53,6 +52,7 @@ from helpers import (
     envelope_tables,
     free_vectors,
     overlap_windows_by_scan,
+    refused,
     weights,
 )
 
@@ -364,9 +364,11 @@ def test_varying_exponent_pair_refuses_a_huge_p_delta():
         g1, g2 = varying_exponent_pair(p)
         assert (g1.e, g2.e) == (p + 2, p + 1)
         assert 2 * g1.delta == 2 * g2.delta == 2 * p**4 + 7 * p**3 + 6 * p**2 - 5 * p - 12
-    for p in (31, 1_000_000_007):
+    for p, delta in ((31, 1030589), (1_000_000_007, 1000000031500000370500001926000003725)):
         start = time.perf_counter()
-        with pytest.raises(OutOfRangeError, match="the limit of 4000000 bits"):
+        with refused(
+            f"p^delta = {p}^{delta} of the varying-exponent pair may pass the limit of 4000000 bits"
+        ):
             varying_exponent_pair(p)
         assert time.perf_counter() - start < 1
 
@@ -801,12 +803,22 @@ def test_search_refuses_oversized_windows_before_any_memo(monkeypatch):
         raise AssertionError("reach ran before the preflight")
 
     monkeypatch.setattr(_Side, "reach", no_reach)
-    with pytest.raises(OutOfRangeError, match="177 deficiencies .* 335495427835587 units"):
+    limit = "over the search's limit of 1000000000 units"
+    with refused(
+        "177 deficiencies up to 19629 have overlapping envelopes, with windows summing to "
+        f"335495427835587 units, {limit}"
+    ):
         search_counterexamples(11, 13, 12, 19629)
-    with pytest.raises(OutOfRangeError, match="up to 1000000000000 "):
+    with refused(
+        "999999999814 deficiencies up to 1000000000000 have overlapping envelopes, with windows "
+        f"summing to 1399999999477600000048854 units, {limit}"
+    ):
         search_counterexamples(3, 5, 4, 10**12)
     # the count stays exact past sys.maxsize, where len() of a range overflows
-    with pytest.raises(OutOfRangeError, match=f"^{10**26 - 186} deficiencies up to {10**26} "):
+    with refused(
+        f"{10**26 - 186} deficiencies up to {10**26} have overlapping envelopes, with windows "
+        f"summing to 13999999999999999999999947760000000000000000000048854 units, {limit}"
+    ):
         search_counterexamples(3, 5, 4, 10**26)
 
 
@@ -825,8 +837,8 @@ def test_classes_that_cannot_pair_are_skipped(monkeypatch):
 
 
 def test_pair_count_is_capped_before_the_pairs_are_built():
-    # each matched value's pairs are counted first: len(gs1) * len(gs2), or
-    # n (n - 1) / 2 on a shared side; past the budget the class is refused
+    # each deficiency's pairs are counted first, per matched value len(gs1) *
+    # len(gs2), or n (n - 1) / 2 on a shared side; past the budget the class is refused
     assert PAIR_LIMIT == 10**5
     for e, et, dmax, total in ((5, 4, 350, 7205), (4, 4, 60, 13256)):
         side1, side2, offset, scale = next(_relation_classes(3, e, et))
@@ -835,8 +847,21 @@ def test_pair_count_is_capped_before_the_pairs_are_built():
         pairs = _search_class(side1, side2, offset, off, *listed, RELATION_SAME)
         assert len(pairs) == total
         assert _search_class(side1, side2, offset, off, *listed, RELATION_SAME, len(pairs)) == pairs
-        with pytest.raises(OutOfRangeError, match="limit of 100000 pairs"):
+        with refused(
+            f"equal_spectrum_same_lattice pairs up to deficiency {dmax} take the search past "
+            "its limit of 100000 pairs"
+        ):
             _search_class(side1, side2, offset, off, *listed, RELATION_SAME, len(pairs) - 1)
+
+
+def test_pair_limit_counts_the_pairs_of_every_class():
+    # (2, 5, 5, 59) lists 71 020, 34 681 and 28 pairs in its three classes:
+    # each is under PAIR_LIMIT, and the second class takes the search past it
+    with refused(
+        "equal_spectrum_same_lattice pairs up to deficiency 58 take the search past its "
+        "limit of 100000 pairs"
+    ):
+        search_counterexamples(2, 5, 5, 59)
 
 
 def _search_broken(how: str) -> str:

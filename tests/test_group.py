@@ -7,34 +7,32 @@ from genus_spectrum import (
     InputError,
     InvalidInvariantsError,
     InvalidPrimeError,
-    OutOfRangeError,
     VerificationError,
     e_prime,
     invariants,
     is_prime,
-    new_group,
     parse_group,
     varying_exponent_pair,
 )
-from genus_spectrum.group import kulkarni_n
-from helpers import all_groups
+from genus_spectrum.group import _MR_LIMIT, POWER_BITS_LIMIT, kulkarni_n
+from helpers import all_groups, refused
 
 
 def test_construction():
-    G = new_group(2, (1, 1))
+    G = AbelianPGroup(2, (1, 1))
     assert (G.p, G.e, G.r) == (2, 2, (1, 1))
     assert G.describe() == "Z_2 + Z_4"
-    assert new_group(3, (0, 2)).describe() == "Z_9^2"
+    assert AbelianPGroup(3, (0, 2)).describe() == "Z_9^2"
     with pytest.raises(InvalidInvariantsError):
-        new_group(2, (1, 0))
+        AbelianPGroup(2, (1, 0))
     with pytest.raises(InvalidInvariantsError):
-        new_group(2, ())
+        AbelianPGroup(2, ())
     with pytest.raises(InvalidInvariantsError):
-        new_group(2, (-1, 1))
+        AbelianPGroup(2, (-1, 1))
     with pytest.raises(InvalidPrimeError):
-        new_group(4, (1,))
+        AbelianPGroup(4, (1,))
     with pytest.raises(InvalidPrimeError):
-        new_group(1, (1,))
+        AbelianPGroup(1, (1,))
 
 
 @pytest.mark.parametrize("p, r", [(2, (1.9,)), (2.0, (1, 1)), (2, ("1",)), ("2", (1,))])
@@ -56,14 +54,14 @@ def test_parse():
 
 
 def test_invariants_examples():
-    inv = invariants(new_group(2, (1, 1)))  # Z_2 + Z_4
+    inv = invariants(AbelianPGroup(2, (1, 1)))  # Z_2 + Z_4
     assert (inv.s, inv.e_prime, inv.delta, inv.epsilon, inv.kulkarni_n) == ((3, 2, 1), 1, 1, 1, 2)
 
-    inv = invariants(new_group(2, (0, 2)))  # Z_4^2
+    inv = invariants(AbelianPGroup(2, (0, 2)))  # Z_4^2
     assert (inv.s, inv.e_prime, inv.delta, inv.epsilon, inv.kulkarni_n) == ((3, 3, 1), 2, 2, 2, 2)
 
     for p, e in ((2, 1), (3, 2), (5, 3)):
-        inv = invariants(new_group(p, (0,) * (e - 1) + (1,)))
+        inv = invariants(AbelianPGroup(p, (0,) * (e - 1) + (1,)))
         assert inv.s == (2,) * e + (1,)
         assert (inv.e_prime, inv.delta, inv.epsilon, inv.kulkarni_n) == (0, 0, 1, 1)
 
@@ -75,9 +73,9 @@ def test_kulkarni_n_checks_divisibility():
 
 
 def test_e_prime_examples():
-    assert e_prime(new_group(2, (1, 0, 1))) == 1  # Z_2 + Z_8
-    assert e_prime(new_group(2, (0, 0, 0, 1))) == 0  # Z_16
-    assert e_prime(new_group(3, (0, 2))) == 2  # Z_9^2
+    assert e_prime(AbelianPGroup(2, (1, 0, 1))) == 1  # Z_2 + Z_8
+    assert e_prime(AbelianPGroup(2, (0, 0, 0, 1))) == 0  # Z_16
+    assert e_prime(AbelianPGroup(3, (0, 2))) == 2  # Z_9^2
 
 
 def test_is_prime():
@@ -127,21 +125,39 @@ def test_is_prime_rejects_pseudoprimes_and_decides_large_primes():
 
 
 def test_is_prime_refuses_beyond_its_exact_range():
-    with pytest.raises(OutOfRangeError):
+    below = "is only decided below 3317044064679887385961981"
+    with refused(f"primality of 4000000000000000000000000 {below}"):
         is_prime(4 * 10**24)
+    # the last n below the limit is decided, the limit itself is refused
+    assert _MR_LIMIT == 3_317_044_064_679_887_385_961_981
+    assert is_prime(_MR_LIMIT - 1) is False
+    with refused(f"primality of 3317044064679887385961981 {below}"):
+        is_prime(_MR_LIMIT)
+
+
+def test_power_bits_boundary_is_the_estimates():
+    # p^k may pass the limit, and is refused, exactly when k * bitlen(p^64 - 1)
+    # > 64 * (POWER_BITS_LIMIT - 1); neither side computes p^k
+    from genus_spectrum.group import _power_exponent
+
+    for p in (2, 3, 5, 7, 1000003):
+        last = 64 * (POWER_BITS_LIMIT - 1) // (p**64 - 1).bit_length()
+        assert _power_exponent(p, last, "p^e") == last
+        with refused(f"p^e = {p}^{last + 1} may pass the limit of 4000000 bits"):
+            _power_exponent(p, last + 1, "p^e")
 
 
 def test_huge_powers_are_refused_before_they_are_computed():
     # past POWER_BITS_LIMIT = 4 * 10^6 bits p^delta and |G| raise at once
     # instead of hanging
     G = AbelianPGroup(2, (10**12,))
-    with pytest.raises(OutOfRangeError, match="p\\^delta = 2\\^999999999999"):
+    with refused("p^delta = 2^999999999999 of 2:1000000000000 may pass the limit of 4000000 bits"):
         G.p_delta
-    with pytest.raises(OutOfRangeError, match="the limit of 4000000 bits"):
+    with refused("|G| = 2^1000000000000 of 2:1000000000000 may pass the limit of 4000000 bits"):
         G.order
     edge = AbelianPGroup(2, (4 * 10**6,))
     assert edge.p_delta.bit_length() == 4 * 10**6
-    with pytest.raises(OutOfRangeError):
+    with refused("|G| = 2^4000000 of 2:4000000 may pass the limit of 4000000 bits"):
         edge.order
     # the estimate is within 1 % above the bit length at p = 3
     assert AbelianPGroup(3, (2_480_001,)).p_delta.bit_length() > 3.9 * 10**6

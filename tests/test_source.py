@@ -180,6 +180,25 @@ def test_objects_are_built_only_through_their_constructors():
     ]
 
 
+def test_limits_are_compared_only_in_errors():
+    # errors._within compares each work estimate with its limit and raises the
+    # refusal, so no other module compares or raises with a *_LIMIT name
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Compare, ast.Raise))
+            and any(
+                getattr(m, "id", getattr(m, "attr", "")).endswith("_LIMIT") for m in ast.walk(n)
+            )
+        ]
+    assert found == []
+
+
 def test_cli_prints_only_in_run_and_main():
     # each verb returns its payload and text lines, and run prints the format
     # asked for, so output has one route; main prints only the out-of-memory error
