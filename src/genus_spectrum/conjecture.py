@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge
 from math import gcd, lcm
-from operator import add
 
 from .errors import (
     InputError,
@@ -74,6 +73,9 @@ SEARCH_WIDTH_LIMIT = 10**9
 # Most pairs, summed over every relation class, that one search may list (see
 # search_counterexamples).
 PAIR_LIMIT = 10**5
+
+# a weight not yet in a side's envelope table, where None means no vector
+_UNSEEN = object()
 
 
 def rho(p: int) -> tuple[int, int, int]:
@@ -181,12 +183,15 @@ class _Side:
     with c_i = p^e - p^{e-i}; a relation class's mu_0 scale is applied by
     `_value_offset` alone.  For p = 2 a top floor of 1 pins r_e = 1, so coin
     e is left out.  The least and the greatest value at each weight are
-    closed forms (`_envelope`), so set-up needs no deficiency bound.  The
-    caller chooses the window of values, inside the envelope; the memo keeps
-    one growing window per (coin, weight) but never a root (`_window`), and
-    `witnesses` walks the root entry that `reach` built last.  A part of a
-    window tries only the counts of its coin whose value-per-weight bounds
-    meet it (`_counts`); the others have no child to keep.
+    closed forms (`_envelope`), so set-up needs no deficiency bound; the
+    side keeps a table of the envelopes its memo asks for, each evaluated
+    once and dropped with the side.  The caller chooses the window of
+    values, inside the envelope; the memo keeps one growing window per
+    (coin, weight) but never a root (`_window`), and `witnesses` walks the
+    root entry that `reach` built last and returns the invariants r of each
+    group it finds, which `group_of` builds as they are.  A part of a window
+    tries only the counts of its coin whose value-per-weight bounds meet it
+    (`_counts`); the others have no child to keep.
     """
 
     def __init__(self, floor_group: AbelianPGroup):
@@ -207,8 +212,10 @@ class _Side:
 
         # value of the coin of weight i, with 0 at weight 0
         self._values = [0] + [v for _, v in self.coins]
-        # zero counts for the floors past the last coin (the pinned top)
-        self._pad = (0,) * (e - len(self.coins))
+        # the floors past the last coin: the pinned top, or none
+        self._top = self.floors[len(self.coins):]
+        # per coin j, weight d -> `_envelope(j, d)`, filled by `_kids` as it asks
+        self._envelopes: list[dict[int, tuple[int, int] | None]] = [{} for _ in self._values]
 
         # (coin index j, remaining weight rd) -> [lo, hi, bits, live children]:
         # what coins j.. reach at weight rd in [lo, hi], see _window
@@ -278,10 +285,14 @@ class _Side:
         `_window` calls it once per part of a window that it derives."""
         j, rd, lo, hi = key
         w, v = self.coins[j]
+        envelopes = self._envelopes[j + 1]
         out = []
         for k in self._counts(key):
             nd, kv = rd - k * w, k * v
-            env = self._envelope(j + 1, nd)
+            # .get, not a caught KeyError, which costs more on a miss
+            env = envelopes.get(nd, _UNSEEN)
+            if env is _UNSEEN:
+                env = envelopes[nd] = self._envelope(j + 1, nd)
             if env is not None and env[0] + kv <= hi and lo <= env[1] + kv:
                 # conditional expressions: max() and min() calls, here and in
                 # the hull merge of `_window`, took a sixth of its time
@@ -371,9 +382,9 @@ class _Side:
         return self._root[2]
 
     def witnesses(self, wanted: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(value, t) for every free vector t of the weight and window of the
-        last `reach` whose value, in units, has its bit, relative to the
-        window's low, set in `wanted`.
+        """(value, r) for the invariants r = floors + t of every free vector
+        t of the weight and window of the last `reach` whose value, in units,
+        has its bit, relative to the window's low, set in `wanted`.
 
         The walk follows the live children of the root entry that `reach`
         built.  Each child's shift is worked out here from the two window
@@ -382,26 +393,30 @@ class _Side:
         bits, so every node it visits lies on a path to an output.  It makes
         one pass per coin over the partial vectors, taking each one's
         children in ascending count, so vectors come out in ascending order.
+        Coin i has weight i, so the walk carries r_i = floor_i + t_i; the
+        pinned top floor, which has no coin, is appended at the end.
         """
         lo, _, bits, live = self._root
         mask = wanted & bits
         # (window low, live children, wanted bits relative to that low, value
-        # so far, prefix of t)
+        # so far, prefix of r)
         partial = [(lo, live, mask, 0, ())] if mask else []
-        for _, v in self.coins:
+        for floor, (_, v) in zip(self.floors, self.coins):
             partial, last = [], partial
-            for lo, live, mask, acc, t in last:
+            for lo, live, mask, acc, r in last:
                 for k, (kid_lo, _, kid_bits, kid_live) in live:
                     kv = k * v
                     shift = kid_lo + kv - lo
                     sub = (mask >> shift if shift >= 0 else mask << -shift) & kid_bits
                     if sub:
-                        partial.append((kid_lo, kid_live, sub, acc + kv, t + (k,)))
-        return [(acc, t) for _, _, _, acc, t in partial]
+                        partial.append((kid_lo, kid_live, sub, acc + kv, r + (floor + k,)))
+        top = self._top
+        return [(acc, r + top) for _, _, _, acc, r in partial]
 
-    def group_of(self, t: tuple[int, ...]) -> AbelianPGroup:
-        # coin i has weight i, so t[i - 1] counts the summands of order p^i
-        return AbelianPGroup(self.p, tuple(map(add, self.floors, t + self._pad)))
+    def group_of(self, r: tuple[int, ...]) -> AbelianPGroup:
+        """The group of invariants r from `witnesses`: a tuple of exact ints,
+        which the build keeps as given."""
+        return AbelianPGroup(self.p, r)
 
     def mu_of(self, units: int) -> HalfInt:
         return HalfInt(self.base_twice + units * self.unit)
@@ -512,8 +527,8 @@ def _checked_groups(side: _Side, wanted: int, delta: int) -> tuple:
     group_of, mu_of = side.group_of, side.mu_of
     rows = []
     by_value: dict[int, tuple] = {}
-    for y, t in side.witnesses(wanted):
-        g, got = group_of(t), by_value.get(y)
+    for y, r in side.witnesses(wanted):
+        g, got = group_of(r), by_value.get(y)
         if got is None:
             mu = mu_of(y)
             got = by_value[y] = mu, [], (delta, epsilon, mu.twice, p, e)

@@ -11,6 +11,7 @@ governing the arithmetic progression that contains the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -77,13 +78,22 @@ def _power_exponent(p: int, k: int, what: str, of=None) -> int:
     p^k is computed, and a refusal names the power what = p^k (of `of`, if given)."""
     # p^64 <= 2^b for b = bitlen(p^64 - 1), so p^k has at most 1 + ceil(k * b
     # / 64) bits, exactly that many for p = 2
-    _within(1 - k * (p**64 - 1).bit_length() // -64, POWER_BITS_LIMIT, _power_text, what, p, k, of)
+    _within(1 - k * _power_bits(p) // -64, POWER_BITS_LIMIT, _power_text, what, p, k, of)
     return k
+
+
+@lru_cache(maxsize=64)
+def _power_bits(p: int) -> int:
+    # bitlen(p^64 - 1), the per-prime constant of `_power_exponent`'s estimate
+    return (p**64 - 1).bit_length()
 
 
 def _power_text(what: str, p: int, k: int, of) -> str:
     owner = "" if of is None else f" of {of}"
     return f"{what} = {p}^{k}{owner} may pass the limit of {POWER_BITS_LIMIT} bits"
+
+
+_EXACT_INT = {int}
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,17 @@ class AbelianPGroup:
     r: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _prime(self.p, InvalidPrimeError))
-        r = _naturals(self.r, "invariant list", InvalidInvariantsError)
-        object.__setattr__(self, "r", r)
+        p, r = self.p, self.r
+        # an exact prime int and a non-empty tuple of exact ints >= 0 are kept as
+        # given, and any other input is coerced or refused field by field.  The
+        # entry types are tested first: min(r) raises TypeError on a str entry
+        if not (
+            type(r) is tuple and r and set(map(type, r)) == _EXACT_INT
+            and min(r) >= 0 and type(p) is int and is_prime(p)
+        ):
+            object.__setattr__(self, "p", _prime(p, InvalidPrimeError))
+            r = _naturals(r, "invariant list", InvalidInvariantsError)
+            object.__setattr__(self, "r", r)
         if r[-1] < 1:
             raise InvalidInvariantsError(
                 f"r_e = 0 in {r}: group would not have exponent p^{len(r)}"
@@ -124,7 +142,7 @@ class AbelianPGroup:
 
     @property
     def log_order(self) -> int:
-        return sum(map(mul, range(1, len(self.r) + 1), self.r))
+        return self.delta + len(self.r)
 
     @property
     def order(self) -> int:
@@ -136,7 +154,8 @@ class AbelianPGroup:
 
     @property
     def delta(self) -> int:
-        return self.log_order - self.e
+        # log_p |G| = sum(i r_i), less e = log_p exp(G)
+        return sum(map(mul, range(1, len(self.r) + 1), self.r)) - len(self.r)
 
     @property
     def p_delta(self) -> int:

@@ -21,9 +21,10 @@ All blocks come from one pass over i = 0, ..., e on plain doubled ints
 the powers of p, and each block is the tuple (eps_i, 2 mu_i, 2 min, attaining
 sequence).  The pass keeps a self-check per block: gamma at the hull of the
 bumped sequence, evaluated by its own Horner loop, must equal mu_i plus the
-correction, or VerificationError is raised.  `_reduced_minimum` takes the
-index set from `index_set`, which reads eps_i off s, and 2 mu_0 off the
-pass, checking that index 0 can be dropped.
+correction, or VerificationError is raised.  `_reduced_minimum` reads the
+index set and 2 mu_0 off the pass's eps_i and mu_i, checking that index 0
+can be dropped; `index_set` applies the same rule (`_index_set`) to eps_i
+read off s.
 
 Three readers share the pass.  `classify_small` (in spectrum) takes only the
 doubled minimum from `_reduced_minimum` and builds no objects.  `mu0` builds
@@ -59,7 +60,7 @@ def _epsilon(s: tuple[int, ...], i: int) -> int:
     return max(0, 2 - s[i - 1] + s[i] - s[i] % 2) if i else 0
 
 
-def _back_indices(G: AbelianPGroup, i: int) -> tuple[int, int]:
+def _back_indices(s: tuple[int, ...], i: int) -> tuple[int, int]:
     """(i'', i'): maximal j < i with s_j - s_i >= 2 resp. >= 1; 0 if none; 1 <= i <= e.
 
     s does not increase, so the j with s_j >= s_i + k form a prefix 1, ...,
@@ -67,7 +68,6 @@ def _back_indices(G: AbelianPGroup, i: int) -> tuple[int, int]:
     found by bisection.  Index 0 stands for the formal s_0 = infinity,
     covering the degenerate cases s_1 = s_i and s_1 - s_i <= 1.
     """
-    s = G.s
     return bisect_right(s, -s[i - 1] - 2, key=neg), bisect_right(s, -s[i - 1] - 1, key=neg)
 
 
@@ -103,7 +103,7 @@ def _blocks(G: AbelianPGroup) -> list[_Block]:
         mu = pw[e - i] * (tail + (p - 1) * prefix) - top_twice
         correction = 0
         if eps:
-            i_dprime, i_prime = _back_indices(G, i)
+            i_dprime, i_prime = _back_indices(s, i)
             correction = pw[e - i_prime] - pw[e - i]
             if eps == 2:
                 correction += pw[e - i_dprime] - pw[e - i]
@@ -129,7 +129,7 @@ def _reduced_minimum(G: AbelianPGroup) -> tuple[list[_Block], IndexSet, int]:
     """The blocks, the index set (eps_i = 0) and 2 mu_0, checking on the fly
     that dropping i = 0 for even s_1 never changes the minimum."""
     blocks = _blocks(G)
-    idx = index_set(G)
+    idx = _index_set([block[0] for block in blocks], 1 + G.rank)  # s_1 = 1 + rank
     mus = [blocks[i][1] for i in idx]  # idx[0] = 0: mus[1:] drops index 0
     twice = min(mus)
     if idx.zero_droppable and twice != min(mus[1:]):
@@ -171,7 +171,12 @@ class IndexSet(tuple):
 def index_set(G: AbelianPGroup) -> IndexSet:
     """Indices whose block can realise the minimum (those with eps_i = 0)."""
     s = G.s
-    return IndexSet([i for i in range(G.e + 1) if _epsilon(s, i) == 0], s[0] % 2 == 0)
+    return _index_set([_epsilon(s, i) for i in range(G.e + 1)], s[0])
+
+
+def _index_set(epsilons: list[int], s_1: int) -> IndexSet:
+    # the indices i with eps_i = 0; index 0 can be dropped when s_1 is even
+    return IndexSet([i for i, eps in enumerate(epsilons) if eps == 0], s_1 % 2 == 0)
 
 
 def attaining_datum(G: AbelianPGroup, i: int) -> PDatum:

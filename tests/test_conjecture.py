@@ -446,26 +446,32 @@ def test_search_matches_bitset_join_reference(monkeypatch):
 
 
 def test_witnesses_return_exactly_the_wanted_values():
-    # every other reachable value is wanted; the walk must return all vectors
-    # of those values, in ascending order, and none of the others
-    side = _Side(_floor_group(3, 4, 1))
-    checked = 0
-    for d in range(max(60 - side.delta0, 0) + 1):
-        lo, hi = side._envelope(0, d)
-        bits = side.reach(d, lo, hi)
-        reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
-        wanted = sum(1 << b for b in reached[::2])
-        expected = sorted(
-            (y, t)
-            for y, ts in free_vectors(side.coins, d).items()
-            if wanted >> (y - lo) & 1
-            for t in ts
-        )
-        found = side.witnesses(wanted)
-        assert [t for _, t in found] == sorted(t for _, t in found)
-        assert sorted(found) == expected, d
-        checked += len(found)
-    assert checked > 100
+    # every other reachable value is wanted; the walk must return the
+    # invariants r = floors + t of all free vectors t of those values, in
+    # ascending order, and none of the others.  At p = 2 a top floor of 1 is
+    # pinned: it has no coin, and each r ends in it
+    for p, e, top in ((3, 4, 1), (2, 4, 1), (2, 4, 2)):
+        side = _Side(_floor_group(p, e, top))
+        assert len(side.coins) == (e - 1 if (p, top) == (2, 1) else e)
+        checked = 0
+        for d in range(max(60 - side.delta0, 0) + 1):
+            lo, hi = side._envelope(0, d)
+            bits = side.reach(d, lo, hi)
+            reached = [b for b in range(bits.bit_length()) if bits >> b & 1]
+            wanted = sum(1 << b for b in reached[::2])
+            expected = sorted(
+                (y, tuple(f + k for f, k in zip(side.floors, t + (0,) * (e - len(t)))))
+                for y, ts in free_vectors(side.coins, d).items()
+                if wanted >> (y - lo) & 1
+                for t in ts
+            )
+            found = side.witnesses(wanted)
+            assert [r for _, r in found] == sorted(r for _, r in found)
+            assert sorted(found) == expected, (p, e, top, d)
+            # exact ints, which the group build keeps as given
+            assert all(type(r) is tuple and {*map(type, r)} == {int} for _, r in found)
+            checked += len(found)
+        assert checked > 100, (p, e, top)
 
 
 def test_search_walks_a_long_coin_chain_without_recursion():
@@ -771,6 +777,25 @@ def test_search_reads_few_envelopes_at_weight_zero(monkeypatch):
     monkeypatch.setattr(_Side, "_envelope", counting_envelope)
     assert len(search_counterexamples(2, 8, 7, 8220, RELATION_MIXED)) == 1
     assert calls and len(calls) < 200
+
+
+def test_each_side_evaluates_each_envelope_once(monkeypatch):
+    # the memo's children read the envelope (j, d), j >= 1, from a table on
+    # their side, so each side evaluates it once per (j, d): at (3, 5, 4, 350)
+    # 771 evaluations, where one per child tried made 10 207.  The listing
+    # and the window check read coin 0's envelopes directly, 372 of them
+    calls = []
+    envelope = _Side._envelope
+
+    def counting_envelope(self, j, d):
+        calls.append((id(self), j, d))
+        return envelope(self, j, d)
+
+    monkeypatch.setattr(_Side, "_envelope", counting_envelope)
+    assert len(search_counterexamples(3, 5, 4, 350)) == 7205
+    deep = [call for call in calls if call[1]]
+    assert len(deep) == len(set(deep)) == 771
+    assert len(calls) - len(deep) == 372
 
 
 def test_listed_windows_are_checked_against_the_envelopes():
@@ -1124,6 +1149,8 @@ PAIR_DIGESTS = {
     (2, 4, 4, 86, RELATION_MIXED): "9573fd37c8fa38ec4a3f63bb60e1f78ad8dbecf51e1faa9543cffc373cf16bba",
     (5, 7, 6, 1119, None): "fc2478f7ead79c140ea160b69ec16aaf85ff7f1b0fd3b25ceb52c4cb2d4054bd",
     (2, 8, 7, 8220, RELATION_MIXED): "ce1a3cf1223f75c581728d07f25f5f4ceabbc255b9634dc8e9945ec414b61ab1",
+    # 253 pairs over 8 coins, where the memo is the cost
+    (5, 9, 8, 700, None): "48976d096b8e991517b97f99108b5eb27d31671f7985db2bd3ba1882d1e3931a",
 }
 
 

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from genus_spectrum import (
     AbelianPGroup,
+    GenusSpectrumError,
     InputError,
     InvalidInvariantsError,
     InvalidPrimeError,
+    OutOfRangeError,
     VerificationError,
     e_prime,
     invariants,
@@ -40,6 +42,67 @@ def test_non_integer_invariants_are_refused(p, r):
     # int() would truncate 1.9 to 1 and parse "1"; p and r must be ints
     with pytest.raises(InputError, match="expected an integer"):
         AbelianPGroup(p, r)
+
+
+class _Int(int):
+    pass
+
+
+_NO_TOP = "r_e = 0 in (1, 0): group would not have exponent p^2"
+_UNDECIDED = f"primality of {_MR_LIMIT} is only decided below {_MR_LIMIT}"
+
+# each input the build refuses, with the exception class and the text it
+# raises: p is checked before r, and an entry's type before its sign
+BUILD_REFUSALS = [
+    ((True, (1,)), InvalidPrimeError, "1 is not prime"),
+    ((False, (1,)), InvalidPrimeError, "0 is not prime"),
+    ((2.0, (1, 1)), InputError, "expected an integer, got 2.0"),
+    (("2", (1,)), InputError, "expected an integer, got '2'"),
+    ((2, (1.9,)), InputError, "expected an integer, got 1.9"),
+    ((2, (1.0,)), InputError, "expected an integer, got 1.0"),
+    ((2, ("1",)), InputError, "expected an integer, got '1'"),
+    ((2, (1, "x")), InputError, "expected an integer, got 'x'"),
+    ((2, (-1, 1)), InvalidInvariantsError, "invariant list must have entries >= 0, got (-1, 1)"),
+    ((2, (0, -1)), InvalidInvariantsError, "invariant list must have entries >= 0, got (0, -1)"),
+    ((2, ()), InvalidInvariantsError, "invariant list must be non-empty"),
+    ((2, []), InvalidInvariantsError, "invariant list must be non-empty"),
+    ((2, (1, 0)), InvalidInvariantsError, _NO_TOP),
+    ((2, [1, False]), InvalidInvariantsError, _NO_TOP),
+    ((4, (1,)), InvalidPrimeError, "4 is not prime"),
+    ((4, ("x",)), InvalidPrimeError, "4 is not prime"),
+    ((_Int(9), (1,)), InvalidPrimeError, "9 is not prime"),
+    ((_MR_LIMIT, (1,)), OutOfRangeError, _UNDECIDED),
+    ((_MR_LIMIT, ("x",)), OutOfRangeError, _UNDECIDED),
+]
+
+# inputs the build accepts, with the exact p and r it keeps
+BUILDS = [
+    ((3, (0, 1)), (3, (0, 1))),
+    ((_Int(3), (1, 2)), (3, (1, 2))),
+    ((3, (_Int(1), _Int(2))), (3, (1, 2))),
+    ((_Int(2), [_Int(0), _Int(1)]), (2, (0, 1))),
+    ((3, [1, 2]), (3, (1, 2))),
+    ((2, (True,)), (2, (1,))),
+    ((2, (1, True)), (2, (1, 1))),
+    ((5, range(1, 3)), (5, (1, 2))),
+]
+
+
+@pytest.mark.parametrize("args, error, text", BUILD_REFUSALS)
+def test_build_refusals_keep_their_class_and_text(args, error, text):
+    with pytest.raises(GenusSpectrumError) as info:
+        AbelianPGroup(*args)
+    assert (type(info.value), str(info.value)) == (error, text)
+
+
+@pytest.mark.parametrize("args, kept", BUILDS)
+def test_builds_keep_exact_ints(args, kept):
+    g = AbelianPGroup(*args)
+    assert type(g.p) is int and type(g.r) is tuple and all(type(x) is int for x in g.r)
+    assert (g.p, g.r) == kept and g == AbelianPGroup(*kept)
+    # an exact prime and a tuple of exact ints are kept as given
+    r = kept[1]
+    assert AbelianPGroup(kept[0], r).r is r
 
 
 def test_parse():

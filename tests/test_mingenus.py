@@ -75,7 +75,7 @@ def test_epsilon_is_the_least_bump_that_works():
 def test_back_indices_match_the_backward_scan():
     for G in all_groups((2, 3), 6, 3):
         for i in range(1, G.e + 1):
-            assert mingenus._back_indices(G, i) == back_indices(G, i), (G, i)
+            assert mingenus._back_indices(G.s, i) == back_indices(G, i), (G, i)
 
 
 def test_min_gamma_examples():
@@ -108,7 +108,7 @@ def test_mu0_matches_the_route_per_block(G):
 
 def test_a_wrong_correction_raises(monkeypatch):
     # s = (3, 2, 1): block 1 needs a bump of 1, whose correction reads (i'', i')
-    monkeypatch.setattr(mingenus, "_back_indices", lambda G, i: (i, i))
+    monkeypatch.setattr(mingenus, "_back_indices", lambda s, i: (i, i))
     with pytest.raises(VerificationError, match="block 1 of 3:1,1"):
         mu0(AbelianPGroup(3, (1, 1)))
 
@@ -117,7 +117,7 @@ def test_a_wrong_correction_raises_under_optimization():
     # python -O strips assert statements; the per-block check must not be one
     code = (
         "from genus_spectrum import AbelianPGroup, VerificationError, mingenus, mu0\n"
-        "mingenus._back_indices = lambda G, i: (i, i)\n"
+        "mingenus._back_indices = lambda s, i: (i, i)\n"
         "try:\n"
         "    mu0(AbelianPGroup(3, (1, 1)))\n"
         "except VerificationError:\n"
